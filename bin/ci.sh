@@ -237,6 +237,17 @@ if [ "$quick" = 0 ]; then
     echo "ci: profile runs of the same workload diverged" >&2
     exit 1
   fi
+  # An unwritable output directory is reported, not crashed on: exit 1
+  # with a "cannot write" message and no uncaught exception.
+  status=0
+  dune exec bin/profile.exe -- http --backend mpk --requests 50 \
+    --out-dir "$tmp/missing/dir" > /dev/null 2> "$tmp/missing_dir.err" || status=$?
+  if [ "$status" != 1 ] || ! grep -q "profile: cannot write" "$tmp/missing_dir.err" ||
+     grep -q "uncaught exception" "$tmp/missing_dir.err"; then
+    echo "ci: profile with a missing --out-dir exited $status, want 1 with a message" >&2
+    cat "$tmp/missing_dir.err" >&2
+    exit 1
+  fi
 
   stage "overhead ordering"
   # The paper's Table 1 ordering must hold: VT-x spends a larger share

@@ -39,15 +39,15 @@ let cross_check lb machine obs =
   let check name total lb_count =
     if total <> lb_count then
       Some
-        (Printf.sprintf "%s mismatch: obs total %d, litterbox %d" name total
+        (Printf.sprintf "%s mismatch: obs total %d, counter %d" name total
            lb_count)
     else None
   in
   let m = Obs.metrics obs in
   let ring_balance =
-    let submitted = Lb.ring_submitted_count lb in
-    let drained = Lb.ring_drained_count lb in
-    let pending = Lb.ring_pending lb in
+    let submitted = K.ring_submitted_count kernel in
+    let drained = K.ring_drained_count kernel in
+    let pending = K.ring_pending kernel in
     if submitted <> drained + pending then
       Some
         (Printf.sprintf
@@ -112,13 +112,13 @@ let cross_check lb machine obs =
         (Lb.transfer_coalesced_count lb);
       check "ring_submitted"
         (Metrics.total m "ring_submitted")
-        (Lb.ring_submitted_count lb);
+        (K.ring_submitted_count kernel);
       check "ring_drained"
         (Metrics.total m "ring_drained")
-        (Lb.ring_drained_count lb);
+        (K.ring_drained_count kernel);
       check "ring_batches"
         (Metrics.total m "ring_batches")
-        (Lb.ring_batches_count lb);
+        (K.ring_batches_count kernel);
       check "sfi_masked_access"
         (Metrics.total m "sfi_masked_access")
         (Lb.sfi_masked_access_count lb);
@@ -272,7 +272,7 @@ let run name backend requests out_dir summary =
                 (Lb.transfer_coalesced_count lb)
                 (Lb.fault_count lb)
                 (Lb.ring_drained_count lb)
-                (Lb.ring_submitted_count lb)
+                (K.ring_submitted_count (Runtime.machine rt).Machine.kernel)
                 (Lb.ring_batches_count lb);
               0
           | problems ->
@@ -402,7 +402,8 @@ let enforcement_scenario name run =
   Printf.printf
     "  %-16s served=%d workload_syscalls=%d faults=%d ring_balanced=%b\n" name
     r.Scenarios.h_requests total (Lb.fault_count lb)
-    (Lb.ring_submitted_count lb = Lb.ring_drained_count lb + Lb.ring_pending lb);
+    (K.ring_submitted_count kernel
+    = K.ring_drained_count kernel + K.ring_pending kernel);
   List.iter
     (fun (nr, n) -> Printf.printf "    sys %-14s %d\n" (Sysno.name nr) n)
     trace

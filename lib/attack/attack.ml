@@ -220,22 +220,23 @@ let raw_syscall ~backend ~seed =
    filter instead of the submitter's.                                  *)
 
 let ring_confused_deputy ~backend ~seed =
-  let rt, lb, _attacker = boot ~backend ~policy:"; sys=none" in
+  let rt, _lb, _attacker = boot ~backend ~policy:"; sys=none" in
+  let kernel = (Runtime.machine rt).Machine.kernel in
   let legit = benign_call rt in
   let call = if seed land 1 = 0 then K.Getuid else K.Getpid in
   let comp = ref None in
   (try
      Runtime.with_enclosure rt "evil_enc" (fun () ->
-         comp := Some (Lb.submit lb call))
+         comp := Some (K.ring_submit kernel call))
    with Lb.Fault _ | Cpu.Fault _ -> ());
   (* Back in trusted context: the deputy drains the ring as part of its
      normal housekeeping. *)
-  Lb.drain lb;
+  K.ring_drain kernel;
   let contained, detail =
     match !comp with
     | None -> (true, "submission itself faulted")
     | Some c -> (
-        match Lb.await lb c with
+        match K.ring_await kernel c with
         | Ok _ ->
             (false, "ring entry was evaluated under the trusted filter")
         | Error e -> (true, "entry denied with errno " ^ K.errno_name e)
@@ -327,7 +328,8 @@ let stale_resume ~backend ~seed:_ =
    environment is current.                                             *)
 
 let drain_race ~backend ~seed =
-  let rt, lb, _attacker = boot ~backend ~policy:"; sys=none" in
+  let rt, _lb, _attacker = boot ~backend ~policy:"; sys=none" in
+  let kernel = (Runtime.machine rt).Machine.kernel in
   let legit = benign_call rt in
   let call = if seed land 1 = 0 then K.Getuid else K.Socket in
   let comp = ref None in
@@ -335,14 +337,14 @@ let drain_race ~backend ~seed =
   Runtime.run_main rt (fun () ->
       Runtime.go rt (fun () ->
           Runtime.with_enclosure rt "evil_enc" (fun () ->
-              comp := Some (Lb.submit lb call);
+              comp := Some (K.ring_submit kernel call);
               Sched.wait_until (Runtime.sched rt) (fun () -> !flag)));
       Runtime.go rt (fun () -> flag := true));
   let contained, detail =
     match !comp with
     | None -> (true, "submission itself faulted")
     | Some c -> (
-        match Lb.await lb c with
+        match K.ring_await kernel c with
         | Ok _ -> (false, "idle drain ran the entry under the trusted filter")
         | Error e -> (true, "entry denied with errno " ^ K.errno_name e)
         | exception Lb.Fault { reason; _ } -> (true, reason))

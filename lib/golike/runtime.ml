@@ -180,29 +180,30 @@ let syscall_exn t call =
            (Encl_kernel.Sysno.name (K.sysno_of_call call))
            (K.errno_name e))
 
-(* Ring-based net path. With the ring on and LitterBox active, the call
-   is enqueued without a privilege crossing; a fiber then parks on the
-   completion and the scheduler's drain point flushes the whole batch
-   in one crossing once every fiber has suspended. Outside a fiber the
-   await drains immediately. Either way the caller observes exactly the
-   direct path's result or exception. Ring off (or baseline): this IS
+(* Ring-based net path. With the ring on, the call is enqueued on the
+   kernel's submission ring without a privilege crossing; a fiber then
+   parks on the completion and the scheduler's drain point flushes the
+   whole batch in one crossing once every fiber has suspended. Outside
+   a fiber the await drains immediately. Either way the caller observes
+   exactly the direct path's result or exception. Ring off: this IS
    {!syscall}. *)
 let syscall_batched t call =
-  match t.lb with
-  | Some lb when Sysring.enabled () ->
-      let c = Lb.submit lb call in
-      if (not (Lb.completion_ready c)) && Sched.in_fiber t.sched then
-        Sched.wait_until t.sched (fun () -> Lb.completion_ready c);
-      Lb.await lb c
-  | Some _ | None -> syscall t call
+  if Sysring.enabled () then begin
+    let kernel = t.machine.Machine.kernel in
+    let c = K.ring_submit kernel call in
+    if (not (K.completion_ready c)) && Sched.in_fiber t.sched then
+      Sched.wait_until t.sched (fun () -> K.completion_ready c);
+    K.ring_await kernel c
+  end
+  else syscall t call
 
 (* Fire-and-forget submission for calls whose result the caller ignores
    (epoll_ctl, clock_gettime, futex wakeups...): enqueue and keep
    running; the entry completes at the next drain point. *)
 let syscall_nowait t call =
-  match t.lb with
-  | Some lb when Sysring.enabled () -> ignore (Lb.submit lb call)
-  | Some _ | None -> ignore (syscall t call)
+  if Sysring.enabled () then
+    ignore (K.ring_submit t.machine.Machine.kernel call)
+  else ignore (syscall t call)
 
 (* The rx view ring. The arena is ordinary heap memory allocated in
    [netring_pkg], so mallocgc's transfer_range hands the spans to that

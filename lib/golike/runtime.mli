@@ -89,20 +89,19 @@ val syscall_exn : t -> K.call -> int
     success). *)
 
 val syscall_batched : t -> K.call -> (int, K.errno) result
-(** Like {!syscall}, but routed through the enclosure's syscall ring
-    when {!Encl_sim.Sysring} is on and LitterBox is active: the call is
-    submitted without a privilege crossing, the calling goroutine parks
-    on the completion, and the scheduler drains the accumulated batch in
-    a single crossing once every goroutine has suspended. Results,
-    errnos and enclosure faults are exactly {!syscall}'s; with the ring
-    off this {e is} {!syscall}. *)
+(** Like {!syscall}, but through the kernel's syscall ring when
+    {!Encl_sim.Sysring} is on, with or without LitterBox: the call is
+    submitted without a crossing, the calling goroutine parks on the
+    completion, and the scheduler drains the batch in one crossing once
+    every goroutine has suspended. Results, errnos and enclosure faults
+    are exactly {!syscall}'s; with the ring off this {e is} {!syscall}. *)
 
 val syscall_nowait : t -> K.call -> unit
 (** Submit a call whose result the caller discards (housekeeping:
     epoll_ctl, futex wakes, clock reads). With the ring on it completes
     at the next drain point without suspending the caller; off, it is
     [ignore (syscall t call)]. A denial still faults and is accounted
-    identically — but surfaces at the drain point rather than here. *)
+    identically, but surfaces at the drain point rather than here. *)
 
 (** {2 The rx view ring (zero-copy data plane)} *)
 

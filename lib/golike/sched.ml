@@ -413,17 +413,16 @@ let hop_to_core t core =
         Lb.install_core_env lb installed
 
 (* Syscall-ring drain point: once no fiber is runnable, every live
-   fiber has hit a suspension point, so the submission queues have
-   accumulated as large a cross-fiber batch as this round can produce —
-   flush them (one crossing per non-empty per-core ring). Runs before
-   [promote_unblocked] because the drain is what satisfies the
+   fiber has hit a suspension point, so the kernel's submission queues
+   have accumulated as large a cross-fiber batch as this round can
+   produce — flush them (one crossing per non-empty per-core ring). Runs
+   before [promote_unblocked] because the drain is what satisfies the
    completion predicates of fibers parked in {!Runtime.syscall_batched}.
    A no-op whenever the rings are empty (in particular always, with
    {!Encl_sim.Sysring} off). *)
 let drain_ring t =
-  match t.lb with
-  | Some lb when Lb.ring_pending lb > 0 -> Lb.drain lb
-  | Some _ | None -> ()
+  let kernel = t.machine.Machine.kernel in
+  if K.ring_pending kernel > 0 then K.ring_drain kernel
 
 let rec schedule t =
   if total_runnable t = 0 then begin

@@ -166,6 +166,16 @@ type rxring = {
 
 let ring_hdr_bytes = 8
 
+(* Syscall-ring entries (see {!Sysring}): the call, the context its
+   submitter's hooks captured, and the completion the submitter awaits —
+   the kernel's result or the exception the direct path would raise. *)
+type ring_ctx = ..
+type ring_ctx += Unprotected
+type completion_state = Pending | Done of (int, errno) result | Faulted of exn
+type completion = { mutable c_state : completion_state }
+type sq_entry = { sq_call : call; sq_ctx : ring_ctx; sq_comp : completion }
+type ring_hooks = { capture : unit -> ring_ctx; cross : sq_entry list -> unit }
+
 type t = {
   clock : Clock.t;
   costs : Costs.t;
@@ -187,6 +197,13 @@ type t = {
   mutable rxring : rxring option;
   obs : Encl_obs.Obs.t;
   mutable inject : Encl_fault.Fault.t option;
+  mutable traps : int;  (** [syscall_base] entries: direct calls + batches *)
+  mutable rings : sq_entry Queue.t array;  (** per core, grown on demand *)
+  mutable ring_hooks : ring_hooks option;  (** [None]: unprotected drain *)
+  mutable ring_submitted : int;
+  mutable ring_drained : int;
+  mutable ring_batches : int;  (** non-empty per-core drains *)
+  mutable ring_ipis : int;  (** remote queues flushed by another core *)
 }
 
 let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
@@ -214,6 +231,13 @@ let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
     rxring = None;
     obs;
     inject = None;
+    traps = 0;
+    rings = [| Queue.create () |];
+    ring_hooks = None;
+    ring_submitted = 0;
+    ring_drained = 0;
+    ring_batches = 0;
+    ring_ipis = 0;
   }
 
 let set_injector t inj =
@@ -237,11 +261,9 @@ let net t = t.net
 let mm t = t.mm
 let clock t = t.clock
 let install_seccomp t prog = Seccomp.install t.seccomp prog
-let seccomp_installed t = Seccomp.installed t.seccomp
 let seccomp_invalidate t = Seccomp.invalidate t.seccomp
 let seccomp_cache_stats t = Seccomp.cache_stats t.seccomp
 let seccomp_cache_hit_rate t = Seccomp.cache_hit_rate t.seccomp
-let pkey_allocator t = t.pkeys
 
 let with_trusted t f =
   (* Gate-wrapped: a syscall may execute while an enclosure environment
@@ -801,10 +823,113 @@ let syscall_with t call ~trap_cost =
       Obs.span_exit t.obs sp;
       raise e
 
-let syscall t call = syscall_with t call ~trap_cost:t.costs.Costs.syscall_base
+let syscall t call =
+  t.traps <- t.traps + 1;
+  syscall_with t call ~trap_cost:t.costs.Costs.syscall_base
 
 let syscall_in_batch t call =
   syscall_with t call ~trap_cost:t.costs.Costs.ring_entry
+
+(* ------------------------------------------------------------------ *)
+(* The syscall ring: one crossing per drained queue, then each entry
+   through [syscall_in_batch]. Unprotected, the crossing is one plain
+   trap; hooks (LitterBox) replace it with their enforced crossing. *)
+
+let ring_capacity = 64
+
+let trap t =
+  t.traps <- t.traps + 1;
+  Clock.consume t.clock Clock.Syscall t.costs.Costs.syscall_base
+
+let complete e r = e.sq_comp.c_state <- Done r
+let complete_fault e exn = e.sq_comp.c_state <- Faulted exn
+let set_ring_hooks t ~capture ~cross = t.ring_hooks <- Some { capture; cross }
+
+let cross_unprotected t =
+  trap t;
+  List.iter (fun e ->
+      match syscall_in_batch t e.sq_call with
+      | r -> complete e r
+      | exception (Syscall_killed _ as x) -> complete_fault e x)
+
+let drain_one_ring t entries =
+  let module Obs = Encl_obs.Obs in
+  let n = List.length entries in
+  t.ring_batches <- t.ring_batches + 1;
+  t.ring_drained <- t.ring_drained + n;
+  let sp =
+    if Obs.enabled t.obs then begin
+      Obs.incr t.obs "ring_batches";
+      Obs.incr t.obs ~by:n "ring_drained";
+      Obs.span_enter t.obs
+        ~name:(Printf.sprintf "ring_drain:%d" n)
+        ~category:Encl_obs.Span.Syscall ()
+    end
+    else -1
+  in
+  Fun.protect ~finally:(fun () -> Obs.span_exit t.obs sp) @@ fun () ->
+  match t.ring_hooks with
+  | None -> cross_unprotected t entries
+  | Some h -> h.cross entries
+
+(* Each core drains its own queue on its own lane, in core order; a
+   remote flush is the IPI a real kernel would send a sibling core. *)
+let ring_drain t =
+  let initiator = Clock.lane t.clock in
+  Array.iteri
+    (fun core ring ->
+      if not (Queue.is_empty ring) then begin
+        let entries = List.of_seq (Queue.to_seq ring) in
+        Queue.clear ring;
+        if core <> initiator then begin
+          t.ring_ipis <- t.ring_ipis + 1;
+          if Encl_obs.Obs.enabled t.obs then Encl_obs.Obs.incr t.obs "ring_ipi"
+        end;
+        Clock.set_lane t.clock core;
+        Fun.protect
+          ~finally:(fun () -> Clock.set_lane t.clock initiator)
+          (fun () -> drain_one_ring t entries)
+      end)
+    t.rings
+
+let ring_submit t call =
+  let core = Clock.lane t.clock and n = Array.length t.rings in
+  if core >= n then
+    t.rings <-
+      Array.init (max (core + 1) (2 * n)) (fun i ->
+          if i < n then t.rings.(i) else Queue.create ());
+  let ring = t.rings.(core) in
+  (* Queue-full is a drain point: flush first so the new entry keeps
+     submission order. *)
+  if Queue.length ring >= ring_capacity then ring_drain t;
+  let sq_ctx =
+    match t.ring_hooks with None -> Unprotected | Some h -> h.capture ()
+  in
+  let sq_comp = { c_state = Pending } in
+  Queue.add { sq_call = call; sq_ctx; sq_comp } ring;
+  t.ring_submitted <- t.ring_submitted + 1;
+  Clock.consume t.clock Clock.Syscall t.costs.Costs.ring_submit;
+  if Encl_obs.Obs.enabled t.obs then Encl_obs.Obs.incr t.obs "ring_submitted";
+  sq_comp
+
+let completion_ready c =
+  match c.c_state with Pending -> false | Done _ | Faulted _ -> true
+
+let ring_await t c =
+  (match c.c_state with Pending -> ring_drain t | Done _ | Faulted _ -> ());
+  match c.c_state with
+  | Done r -> r
+  | Faulted e -> raise e
+  | Pending -> assert false (* a drain completes every queued entry *)
+
+let ring_pending t =
+  Array.fold_left (fun acc ring -> acc + Queue.length ring) 0 t.rings
+
+let ring_submitted_count t = t.ring_submitted
+let ring_drained_count t = t.ring_drained
+let ring_batches_count t = t.ring_batches
+let ring_ipi_count t = t.ring_ipis
+let trap_count t = t.traps
 
 let exit_program t code =
   record t Sysno.Exit;
@@ -815,7 +940,7 @@ let exit_program t code =
         ~category:Encl_obs.Span.Syscall ()
     else -1
   in
-  Clock.consume t.clock Clock.Syscall t.costs.Costs.syscall_base;
+  trap t;
   Obs.span_exit t.obs sp;
   raise (Exited code)
 
@@ -840,16 +965,6 @@ let attach_rxring t ~base ~slots ~slot_bytes =
         rx_consumed = 0;
         rx_reclaimed = 0;
       }
-
-let rxring_attached t = t.rxring <> None
-
-let rxring_slot_addr t slot =
-  match t.rxring with
-  | None -> invalid_arg "Kernel.rxring_slot_addr: no ring attached"
-  | Some ring ->
-      if slot < 0 || slot >= ring.rx_slots then
-        invalid_arg "Kernel.rxring_slot_addr: slot out of range";
-      ring.rx_base + (slot * ring.rx_slot_bytes)
 
 let ring_consume t slot =
   match t.rxring with

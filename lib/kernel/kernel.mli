@@ -119,8 +119,6 @@ val clock : t -> Clock.t
 val install_seccomp : t -> Bpf.program -> (unit, string) result
 (** Installing a program also flushes the seccomp verdict cache. *)
 
-val seccomp_installed : t -> bool
-
 val seccomp_invalidate : t -> unit
 (** Flush the seccomp verdict cache. LitterBox calls this on any transfer
     that changes a meta-package's rights vector (the PKRU no longer means
@@ -132,8 +130,6 @@ val seccomp_cache_stats : t -> int * int
 
 val seccomp_cache_hit_rate : t -> float
 (** hits / (hits + misses), and a well-defined 0.0 before any probe. *)
-
-val pkey_allocator : t -> Mpk.allocator
 
 val set_injector : t -> Encl_fault.Fault.t -> unit
 (** Attach a chaos injector and register the kernel's hook points:
@@ -163,9 +159,66 @@ val syscall_in_batch : t -> call -> (int, errno) result
 (** Identical dispatch to {!syscall} — same recording, seccomp check
     against the CPU's current environment, chaos hooks, service cost and
     observability — except the per-call trap cost is replaced by the
-    cheaper in-kernel ring-entry dispatch cost: the enclosing submission
-    ring drain paid the single trap/exit for the whole batch (see
-    {!Litterbox.drain}). *)
+    cheaper in-kernel ring-entry dispatch cost: the enclosing ring drain
+    paid the single trap/exit for the whole batch (see {!ring_drain}). *)
+
+(** {2 The syscall ring}
+
+    An io_uring-style submission/completion ring, for every program when
+    {!Encl_sim.Sysring} is on. Submitting costs [ring_submit] and no
+    crossing. A drain pays one crossing per non-empty queue, then runs
+    each entry through {!syscall_in_batch} in submission order. Each
+    simulated core owns a queue (the clock's lane at submit time,
+    capacity 64: a full queue drains first) and drains it on its own
+    lane; flushing a sibling core's queue counts as an IPI. Counters are
+    mirrored in the obs metrics ["ring_submitted"], ["ring_drained"],
+    ["ring_batches"] and ["ring_ipi"], and each drained queue runs in a
+    ["ring_drain:<n>"] span.
+
+    Unprotected, the crossing is one {!trap}. An enforcement layer
+    replaces it with {!set_ring_hooks}: LitterBox captures the
+    submitter's enclosure stack and checks each entry under it. *)
+
+type ring_ctx = ..
+(** Submit-time context, extended by whoever hooks the ring. *)
+
+type ring_ctx += Unprotected  (** captured when no hooks are set *)
+
+type completion
+(** Pending until a drain posts the result, or the exception the direct
+    path would have raised at the call site. *)
+
+type sq_entry = { sq_call : call; sq_ctx : ring_ctx; sq_comp : completion }
+
+val set_ring_hooks :
+  t -> capture:(unit -> ring_ctx) -> cross:(sq_entry list -> unit) -> unit
+(** [capture] runs at each submission; [cross] replaces the unprotected
+    crossing of each drained queue and must complete every entry. *)
+
+val trap : t -> unit
+(** Charge one [syscall_base] kernel entry (a batch's crossing). *)
+
+val complete : sq_entry -> (int, errno) result -> unit
+val complete_fault : sq_entry -> exn -> unit
+val ring_submit : t -> call -> completion
+val ring_drain : t -> unit
+val completion_ready : completion -> bool
+
+val ring_await : t -> completion -> (int, errno) result
+(** The result, draining first if still pending; re-raises a stored
+    exception. *)
+
+val ring_pending : t -> int
+val ring_submitted_count : t -> int
+val ring_drained_count : t -> int
+(** [ring_submitted_count = ring_drained_count + ring_pending]. *)
+
+val ring_batches_count : t -> int
+val ring_ipi_count : t -> int
+
+val trap_count : t -> int
+(** [syscall_base] kernel entries: direct {!syscall}s, drained batches
+    and {!exit_program}. *)
 
 val exit_program : t -> int -> 'a
 (** Raises {!Exited} after accounting an [exit] system call. *)
@@ -188,11 +241,6 @@ val attach_rxring : t -> base:int -> slots:int -> slot_bytes:int -> unit
 (** Attach the machine's rx ring over [slots * slot_bytes] bytes of
     guest memory at [base] (the runtime owns granting the R view).
     Raises [Invalid_argument] on bad geometry. *)
-
-val rxring_attached : t -> bool
-
-val rxring_slot_addr : t -> int -> int
-(** Guest address of a slot's header. *)
 
 val ring_consume : t -> int -> unit
 (** Release a granted descriptor (slot index) so the kernel may refill

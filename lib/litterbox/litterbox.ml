@@ -39,32 +39,18 @@ type enc_rt = {
 
 type env_ref = enc_rt list
 
-(* Syscall ring (see {!Sysring}): submission entries capture the
-   enclosure stack at submit time so the drain evaluates each entry
-   under the filter that was in force when the call was enqueued —
-   never under a later enclosure's — and completions carry either the
-   kernel's result or the same [Fault] the direct path would have
-   raised at the call site. *)
-type completion_state =
-  | Pending
-  | Done of (int, K.errno) result
-  | Faulted of exn
+(* What LitterBox records in each kernel ring entry at submit time:
+   the enclosure stack, so the drain evaluates the entry under the
+   filter in force when the call was enqueued — never under a later
+   enclosure's — and the call-site signature for the witness recorder
+   (empty when witnessing is off), so batched calls keep the
+   {e submitting} context, not the drain point's. *)
+type K.ring_ctx += Submitter of enc_rt list * string
 
-type completion = { mutable c_state : completion_state }
-
-type sq_entry = {
-  sq_call : K.call;
-  sq_env : enc_rt list;  (** submit-time enclosure stack *)
-  sq_site : string;
-      (** submit-time call-site signature for the witness recorder
-          (empty when witnessing is off); the drain taps use it so
-          batched calls keep the {e submitting} context, not the drain
-          point's *)
-  sq_core : int;  (** core (clock lane) the entry was submitted on *)
-  sq_comp : completion;
-}
-
-let ring_capacity = 64
+let submitter (e : K.sq_entry) =
+  match e.K.sq_ctx with
+  | Submitter (env, site) -> (env, site)
+  | _ -> invalid_arg "Litterbox: ring entry submitted before init"
 
 type t = {
   machine : Machine.t;
@@ -89,16 +75,6 @@ type t = {
   mutable faults : int;
   mutable fault_log : string list;
   mutable fault_budget : int;  (** per-enclosure; [max_int] = no quarantine *)
-  mutable rings : sq_entry Queue.t array;
-      (** one submission queue per simulated core (indexed by clock
-          lane, grown on demand): each core batches its own traffic and
-          drains it on its own lane. *)
-  mutable ring_submitted : int;
-  mutable ring_drained : int;
-  mutable ring_batches : int;  (** non-empty per-core drains *)
-  mutable ring_ipis : int;
-      (** IPI-style cross-core wakeups: remote non-empty rings flushed
-          because another core hit a drain point *)
   mutable denied_guest : int;
       (** guest-side denials (VTX/LWC filter checks, direct or drained):
           calls the kernel's own counters never saw *)
@@ -623,10 +599,10 @@ let witness_call t call ~allowed =
    {!Defense.Ring_integrity} off (where {e enforcement} deliberately
    uses the drain-time stack), the witness reports ground truth about
    who submitted the call. *)
-let witness_entry t (e : sq_entry) ~allowed =
+let witness_entry t (e : K.sq_entry) ~allowed =
   if Witness.enabled (witness t) then
-    witness_syscall t ~scope:(scope_name e.sq_env) ~site:e.sq_site e.sq_call
-      ~allowed
+    let env, site = submitter e in
+    witness_syscall t ~scope:(scope_name env) ~site e.K.sq_call ~allowed
 
 let capture_site t =
   if Witness.enabled (witness t) then witness_site t else ""
@@ -647,17 +623,6 @@ let note_denied t call =
            verdict = Event.Denied;
          })
   end
-
-(* A guest-filter denial found while draining: same accounting as the
-   direct path's [fault t ~enclosure reason] — denial tap, fault log
-   entry, quarantine budget — except the exception is stored on the
-   completion instead of raised; the awaiting caller re-raises it. *)
-let deny_entry t entry ~enclosure reason =
-  witness_entry t entry ~allowed:false;
-  note_denied t entry.sq_call;
-  let trace = Printf.sprintf "fault in %s: %s" enclosure reason in
-  record_fault t ~enclosure ~trace reason;
-  entry.sq_comp.c_state <- Faulted (Fault { reason; enclosure = Some enclosure })
 
 (* Only the MPK backend populates [t.keys]; elsewhere every package
    maps to key 0, so a transfer never flushes the verdict cache there
@@ -709,6 +674,22 @@ let pt_retag t ~addr ~bytes ~to_pkg =
     ~len:bytes
     { Pte.r = true; w = true; x = false }
 
+(* A seccomp kill on the trap path, as the LitterBox fault it
+   surfaces as. *)
+let kill_fault t ?enclosure nr env =
+  let reason =
+    Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr) env
+  in
+  record_fault t ?enclosure ~trace:reason reason;
+  Fault { reason; enclosure }
+
+(* One drained entry through the in-kernel dispatch, witnessed under its
+   submitter once it returns. *)
+let dispatch_entry t (e : K.sq_entry) =
+  let r = K.syscall_in_batch t.machine.Machine.kernel e.K.sq_call in
+  witness_entry t e ~allowed:true;
+  K.complete e r
+
 (* The trap path (MPK and SFI): the call enters the kernel normally
    and the installed seccomp program dispatches on the environment's
    PKRU — a real PKRU under MPK, the synthetic sandbox tag under SFI.
@@ -722,21 +703,14 @@ let trap_syscall t top call =
     Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.syscall" (fun () ->
         K.syscall t.machine.Machine.kernel call)
   with K.Syscall_killed { nr; env } ->
-    let reason =
-      Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr) env
-    in
-    let enclosure = Option.map (fun e -> e.e_name) top in
-    record_fault t ?enclosure ~trace:reason reason;
-    raise (Fault { reason; enclosure })
+    raise (kill_fault t ?enclosure:(Option.map (fun e -> e.e_name) top) nr env)
 
 (* Trap-path drain (MPK and SFI): one kernel trap for the batch, then
    per-entry dispatch under the submit-time environment — installed per
    entry, a zero-cost bookkeeping write modelling the submitter context
    recorded in the SQE. *)
 let trap_drain t entries =
-  let kernel = t.machine.Machine.kernel in
-  Clock.consume t.machine.Machine.clock Clock.Syscall
-    t.machine.Machine.costs.Costs.syscall_base;
+  K.trap t.machine.Machine.kernel;
   let cpu = t.machine.Machine.cpu in
   (* The whole drain runs inside the ring-drain gate (one trap for the
      batch; its env writes and per-entry dispatches are the runtime's). *)
@@ -749,23 +723,17 @@ let trap_drain t entries =
          in the SQE. With the defense off, the entry is evaluated under
          whatever environment happens to be current at drain time — the
          confused-deputy window. *)
+      let sub_env, _ = submitter e in
       if Defense.enabled Defense.Ring_integrity then
-        Cpu.set_env cpu (env_of_stack t e.sq_env);
-      match K.syscall_in_batch kernel e.sq_call with
-      | r ->
-          witness_entry t e ~allowed:true;
-          e.sq_comp.c_state <- Done r
+        Cpu.set_env cpu (env_of_stack t sub_env);
+      match dispatch_entry t e with
+      | () -> ()
       | exception K.Syscall_killed { nr; env } ->
           witness_entry t e ~allowed:false;
-          let reason =
-            Printf.sprintf "seccomp killed system call %s in %s" (Sysno.name nr)
-              env
-          in
           let enclosure =
-            match e.sq_env with [] -> None | enc :: _ -> Some enc.e_name
+            match sub_env with [] -> None | enc :: _ -> Some enc.e_name
           in
-          record_fault t ?enclosure ~trace:reason reason;
-          e.sq_comp.c_state <- Faulted (Fault { reason; enclosure }))
+          K.complete_fault e (kill_fault t ?enclosure nr env))
     entries
 
 (* Which enclosure stack polices a drained entry: the submitter's,
@@ -773,15 +741,37 @@ let trap_drain t entries =
    whichever stack happens to be current at drain time, the
    confused-deputy window the corpus drives through. *)
 let drain_filter_env t e =
-  if Defense.enabled Defense.Ring_integrity then e.sq_env else t.stack
+  if Defense.enabled Defense.Ring_integrity then fst (submitter e) else t.stack
+
+(* The guest-side filter check of a drained entry (VTX/LWC). A denial
+   gets the direct path's accounting — denial tap, fault log entry,
+   quarantine budget — but its fault is stored on the completion for
+   the awaiting caller to re-raise. *)
+let entry_allowed t ~filter (e : K.sq_entry) =
+  match drain_filter_env t e with
+  | top :: _
+    when not (filter_allows_call top.e_policy.Policy.filter e.K.sq_call) ->
+      let enclosure = top.e_name in
+      let reason =
+        Printf.sprintf "system call %s denied by %s"
+          (Sysno.name (K.sysno_of_call e.K.sq_call))
+          filter
+      in
+      witness_entry t e ~allowed:false;
+      note_denied t e.K.sq_call;
+      let trace = Printf.sprintf "fault in %s: %s" enclosure reason in
+      record_fault t ~enclosure ~trace reason;
+      K.complete_fault e (Fault { reason; enclosure = Some enclosure });
+      false
+  | _ -> true
 
 module type IMPL =
-  Backend.S with type ctx = t and type enc = enc_rt and type entry = sq_entry
+  Backend.S with type ctx = t and type enc = enc_rt and type entry = K.sq_entry
 
 module MpkB : IMPL = struct
   type ctx = t
   type enc = enc_rt
-  type entry = sq_entry
+  type entry = K.sq_entry
 
   let id = Backend.Mpk
   let install = mpk_recompute
@@ -814,7 +804,7 @@ end
 module VtxB : IMPL = struct
   type ctx = t
   type enc = enc_rt
-  type entry = sq_entry
+  type entry = K.sq_entry
 
   let id = Backend.Vtx
   let install = vtx_recompute
@@ -892,23 +882,9 @@ module VtxB : IMPL = struct
     (* Guest-side filter checks never leave the VM; only entries that
        pass share the batch's single VM EXIT. *)
     let o = obs t in
-    let allowed =
-      List.filter
-        (fun e ->
-          match drain_filter_env t e with
-          | top :: _
-            when not (filter_allows_call top.e_policy.Policy.filter e.sq_call)
-            ->
-              deny_entry t e ~enclosure:top.e_name
-                (Printf.sprintf "system call %s denied by enclosure filter"
-                   (Sysno.name (K.sysno_of_call e.sq_call)));
-              false
-          | _ -> true)
-        entries
-    in
-    match allowed with
+    match List.filter (entry_allowed t ~filter:"enclosure filter") entries with
     | [] -> ()
-    | _ :: _ ->
+    | allowed ->
         let vtx = Option.get t.vtx in
         let sp2 =
           if Obs.enabled o then
@@ -920,14 +896,8 @@ module VtxB : IMPL = struct
         Vtx.hypercall vtx (fun () ->
             Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain"
             @@ fun () ->
-            Clock.consume t.machine.Machine.clock Clock.Syscall
-              t.machine.Machine.costs.Costs.syscall_base;
-            List.iter
-              (fun e ->
-                let r = K.syscall_in_batch t.machine.Machine.kernel e.sq_call in
-                witness_entry t e ~allowed:true;
-                e.sq_comp.c_state <- Done r)
-              allowed)
+            K.trap t.machine.Machine.kernel;
+            List.iter (dispatch_entry t) allowed)
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
     let c = t.machine.Machine.costs in
@@ -939,7 +909,7 @@ end
 module LwcB : IMPL = struct
   type ctx = t
   type enc = enc_rt
-  type entry = sq_entry
+  type entry = K.sq_entry
 
   let id = Backend.Lwc
   let install = vtx_recompute
@@ -974,22 +944,12 @@ module LwcB : IMPL = struct
   (* One ordinary trap enters the kernel; the per-context filter is
      checked there per entry, as in the direct path. *)
   let drain t entries =
-    let kernel = t.machine.Machine.kernel in
-    Clock.consume t.machine.Machine.clock Clock.Syscall
-      t.machine.Machine.costs.Costs.syscall_base;
+    K.trap t.machine.Machine.kernel;
     Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.drain" @@ fun () ->
     List.iter
       (fun e ->
-        match drain_filter_env t e with
-        | top :: _
-          when not (filter_allows_call top.e_policy.Policy.filter e.sq_call) ->
-            deny_entry t e ~enclosure:top.e_name
-              (Printf.sprintf "system call %s denied by the context's filter"
-                 (Sysno.name (K.sysno_of_call e.sq_call)))
-        | _ ->
-            let r = K.syscall_in_batch kernel e.sq_call in
-            witness_entry t e ~allowed:true;
-            e.sq_comp.c_state <- Done r)
+        if entry_allowed t ~filter:"the context's filter" e then
+          dispatch_entry t e)
       entries
 
   let transfer t ~addr ~pages ~to_pkg ~key_changed:_ =
@@ -1003,7 +963,7 @@ end
 module SfiB : IMPL = struct
   type ctx = t
   type enc = enc_rt
-  type entry = sq_entry
+  type entry = K.sq_entry
 
   let id = Backend.Sfi
   let install = sfi_recompute
@@ -1122,11 +1082,6 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           faults = 0;
           fault_log = [];
           fault_budget = max_int;
-          rings = [| Queue.create () |];
-          ring_submitted = 0;
-          ring_drained = 0;
-          ring_batches = 0;
-          ring_ipis = 0;
           denied_guest = 0;
           tainted_verified = 0;
           tainted_rejected = 0;
@@ -1240,6 +1195,13 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
                     ~packages:(List.length (Encl_pkg.Graph.packages t.graph))
                     ~enclosures:(Hashtbl.length t.encs);
                   Cpu.set_env machine.Machine.cpu t.app_trusted;
+                  (* The kernel owns the syscall ring; LitterBox records
+                     each entry's submitter and supplies the crossing. *)
+                  K.set_ring_hooks machine.Machine.kernel
+                    ~capture:(fun () -> Submitter (t.stack, capture_site t))
+                    ~cross:(fun entries ->
+                      let (module B) = impl t in
+                      B.drain t entries);
                   Log.info (fun m ->
                       m "%s initialized: %d packages, %d enclosures, %d meta-packages"
                         (backend_name backend)
@@ -1419,110 +1381,6 @@ let note_elision t scope =
   let o = obs t in
   if Obs.enabled o then Obs.incr o ~scope "switch_elided"
 
-(* ------------------------------------------------------------------ *)
-(* Syscall ring                                                        *)
-
-(* Drain the submission queue: one privilege crossing for the whole
-   batch — a single kernel trap (MPK/LWC/SFI) or a single VM EXIT
-   (VTX) — then per-entry dispatch inside the kernel via
-   [K.syscall_in_batch]. Each entry is checked under its submit-time
-   environment: guest-side filters (VTX/LWC) against the captured stack
-   top, the trap-path seccomp program against the captured
-   environment's PKRU or sandbox tag. Verdicts, fault accounting and
-   errno results are exactly what the direct path produces, in
-   submission order. The per-backend mechanism lives in the
-   {!Backend.S} implementations above. *)
-let drain_one_ring t ~entries =
-  let n = List.length entries in
-  t.ring_batches <- t.ring_batches + 1;
-  t.ring_drained <- t.ring_drained + n;
-  let o = obs t in
-  if Obs.enabled o then begin
-    Obs.incr o "ring_batches";
-    Obs.incr o ~by:n "ring_drained"
-  end;
-  let sp =
-    if Obs.enabled o then
-      Obs.span_enter o
-        ~name:(Printf.sprintf "ring_drain:%d" n)
-        ~category:Span.Syscall ()
-    else -1
-  in
-  Fun.protect ~finally:(fun () -> Obs.span_exit (obs t) sp) @@ fun () ->
-  let (module B) = impl t in
-  B.drain t entries
-
-(* Each core drains its own ring on its own lane, in core order. The
-   core that hit the drain point flushes remote non-empty rings too —
-   the IPI a real kernel would send to make a sibling core flush — and
-   each remote flush is counted as a cross-core wakeup. On one core
-   this is exactly the old single-ring drain. *)
-let drain t =
-  let clock = t.machine.Machine.clock in
-  let initiator = Clock.lane clock in
-  Array.iteri
-    (fun core ring ->
-      if not (Queue.is_empty ring) then begin
-        let entries = List.of_seq (Queue.to_seq ring) in
-        Queue.clear ring;
-        if core <> initiator then begin
-          t.ring_ipis <- t.ring_ipis + 1;
-          let o = obs t in
-          if Obs.enabled o then Obs.incr o "ring_ipi"
-        end;
-        Clock.set_lane clock core;
-        Fun.protect
-          ~finally:(fun () -> Clock.set_lane clock initiator)
-          (fun () -> drain_one_ring t ~entries)
-      end)
-    t.rings
-
-let ring_for t core =
-  if core >= Array.length t.rings then begin
-    let n = Array.length t.rings in
-    t.rings <-
-      Array.init
-        (max (core + 1) (2 * n))
-        (fun i -> if i < n then t.rings.(i) else Queue.create ())
-  end;
-  t.rings.(core)
-
-let submit t call =
-  let core = Clock.lane t.machine.Machine.clock in
-  let ring = ring_for t core in
-  (* Queue-full is a drain point: flush first so the new entry keeps
-     submission order. *)
-  if Queue.length ring >= ring_capacity then drain t;
-  let comp = { c_state = Pending } in
-  Queue.add
-    {
-      sq_call = call;
-      sq_env = t.stack;
-      sq_site = capture_site t;
-      sq_core = core;
-      sq_comp = comp;
-    }
-    ring;
-  t.ring_submitted <- t.ring_submitted + 1;
-  Clock.consume t.machine.Machine.clock Clock.Syscall
-    t.machine.Machine.costs.Costs.ring_submit;
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o "ring_submitted";
-  comp
-
-let completion_ready c =
-  match c.c_state with Pending -> false | Done _ | Faulted _ -> true
-
-let await t c =
-  (match c.c_state with Pending -> drain t | Done _ | Faulted _ -> ());
-  match c.c_state with
-  | Done r -> r
-  | Faulted e -> raise e
-  | Pending -> assert false (* drain completes every queued entry *)
-
-let ring_pending t =
-  Array.fold_left (fun acc ring -> acc + Queue.length ring) 0 t.rings
-
 let prolog t ~name ~site =
   Log.debug (fun m -> m "prolog %s (site %s)" name site);
   check_site t site Image.Prolog;
@@ -1589,7 +1447,8 @@ let epilog t ~site =
      defense (the other half is submit-time environment capture): with
      it off, leftover entries survive the epilog and drain later under
      whoever is current — the corpus' confused-deputy window. *)
-  if Defense.enabled Defense.Ring_integrity then drain t;
+  if Defense.enabled Defense.Ring_integrity then
+    K.ring_drain t.machine.Machine.kernel;
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
   | top :: rest ->
@@ -1897,10 +1756,8 @@ let transfer_count t = t.transfers
 let transfer_coalesced_count t = t.coalesced
 let fault_count t = t.faults
 let fault_log t = t.fault_log
-let ring_submitted_count t = t.ring_submitted
-let ring_drained_count t = t.ring_drained
-let ring_batches_count t = t.ring_batches
-let ring_ipi_count t = t.ring_ipis
+let ring_drained_count t = K.ring_drained_count t.machine.Machine.kernel
+let ring_batches_count t = K.ring_batches_count t.machine.Machine.kernel
 let guest_denied_count t = t.denied_guest
 let vmexit_count t = match t.vtx with Some v -> Vtx.vmexits v | None -> 0
 

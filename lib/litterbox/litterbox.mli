@@ -133,45 +133,20 @@ val syscall : t -> Encl_kernel.Kernel.call ->
 
 (** {2 Syscall ring}
 
-    An io_uring-style submission/completion queue (see
-    {!Encl_sim.Sysring}): untrusted code enqueues syscall descriptors
-    without a privilege crossing and a single drain — one kernel trap
-    (MPK/LWC) or one VM EXIT (VTX) — dispatches the whole batch, with
-    per-entry filtering inside the kernel. Each entry captures the
-    enclosure stack at submit time, so it is always evaluated under the
-    filter in force when it was enqueued; {!epilog} drains the queue
-    before the innermost environment leaves the stack (no entry may be
-    evaluated under a later enclosure's filter, and none outlives its
-    enclosure). Verdicts, fault/quarantine accounting and errno results
-    are identical to {!syscall}'s, in submission order. *)
-
-type completion
-(** One submitted call's completion cell: pending until a drain posts
-    either the kernel's result or the {!Fault} the direct path would
-    have raised. *)
-
-val submit : t -> Encl_kernel.Kernel.call -> completion
-(** Enqueue a call under the current environment. Drains first when the
-    queue is full (capacity 64), so submission order is preserved. *)
-
-val drain : t -> unit
-(** Flush the submission queue (no-op when empty): one crossing for the
-    batch, then per-entry verdict + execution in submission order.
-    Denied entries complete as stored faults; they are accounted
-    (fault log, counters, quarantine budget) here, not when awaited. *)
-
-val completion_ready : completion -> bool
-
-val await : t -> completion -> (int, Encl_kernel.Kernel.errno) result
-(** The completed result, draining first if still pending. Re-raises the
-    stored {!Fault} for a denied/killed entry — the same exception the
-    direct {!syscall} path raises at the call site. *)
-
-val ring_pending : t -> int
-(** Entries submitted but not yet drained, summed over every core's
-    ring: each simulated core owns a private submission queue (selected
-    by the clock's lane at submit time), batching its own traffic and
-    draining it on its own lane. *)
+    The submission/completion ring is the kernel's
+    ({!Encl_kernel.Kernel.ring_submit}); {!init} hooks it. At submit
+    time LitterBox records the enclosure stack, so each entry is always
+    evaluated under the filter in force when it was enqueued. At drain
+    time it supplies the batch's crossing: one trap with per-entry
+    seccomp dispatch under the submitter's PKRU or sandbox tag
+    (MPK/SFI), one trap with the per-context filter checked in the
+    kernel (LWC), or the guest-side filter and a single VM EXIT (VTX).
+    {!epilog} drains the ring before the innermost environment leaves
+    the stack (no entry may be evaluated under a later enclosure's
+    filter, and none outlives its enclosure). Verdicts, fault/quarantine
+    accounting and errno results are identical to {!syscall}'s, in
+    submission order; a denied entry completes with the {!Fault} the
+    direct path would have raised, accounted at the drain. *)
 
 (** {2 Runtime hooks} *)
 
@@ -277,21 +252,10 @@ val transfer_coalesced_count : t -> int
 
 val fault_count : t -> int
 
-val ring_submitted_count : t -> int
 val ring_drained_count : t -> int
-(** Lifetime ring counters; [ring_submitted_count t =
-    ring_drained_count t + ring_pending t] always holds. Mirrored in the
-    obs "ring_submitted" / "ring_drained" metrics. *)
-
 val ring_batches_count : t -> int
-(** Non-empty per-core drains so far: each paid exactly one privilege
-    crossing. Mirrored in the obs "ring_batches" metric. *)
-
-val ring_ipi_count : t -> int
-(** IPI-style cross-core wakeups: how many times a drain initiated on
-    one core flushed another core's non-empty ring (the interrupt a
-    real kernel would send to make the sibling flush). Always 0 on one
-    core. Mirrored in the obs "ring_ipi" metric. *)
+(** The kernel ring's {!Encl_kernel.Kernel.ring_drained_count} and
+    {!Encl_kernel.Kernel.ring_batches_count}. *)
 
 val guest_denied_count : t -> int
 (** Calls denied guest-side (VTX/LWC filter checks, direct or drained)

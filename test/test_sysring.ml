@@ -42,6 +42,8 @@ let packages () =
     Runtime.package "img" ~functions:[ ("decode", 64) ] ();
   ]
 
+let kernel rt = (Runtime.machine rt).Machine.kernel
+
 let boot backend =
   (* Pinned to one core regardless of ENCL_CORES: the drain-point tests
      count batches and VM EXITs on a single shared ring; with more
@@ -61,6 +63,7 @@ type op =
   | Batched_denied  (** getuid through the ring from inside sys=none *)
   | Batched_trusted  (** getpid through the ring, no enclosure *)
   | Direct_io  (** classic unbatched getuid alongside the ring *)
+  | Batched_errno  (** a stat of a missing file through the ring *)
   | Nowait_io
       (** fire-and-forget allowed calls; the epilog drain completes
           them. Only {e allowed} calls ride nowait in this test: a
@@ -76,6 +79,7 @@ let op_name = function
   | Batched_denied -> "batched_denied"
   | Batched_trusted -> "batched_trusted"
   | Direct_io -> "direct_io"
+  | Batched_errno -> "batched_errno"
   | Nowait_io -> "nowait_io"
   | Fiber_round n -> Printf.sprintf "fiber_round:%d" n
   | Supervised_denied -> "supervised_denied"
@@ -103,6 +107,9 @@ let run_op rt op =
     | Direct_io ->
         Runtime.with_enclosure rt "io" (fun () ->
             result (Runtime.syscall rt K.Getuid))
+    | Batched_errno ->
+        Runtime.with_enclosure rt "io" (fun () ->
+            result (Runtime.syscall_batched rt (K.Stat "/missing")))
     | Nowait_io ->
         Runtime.with_enclosure rt "io" (fun () ->
             Runtime.syscall_nowait rt K.Getpid;
@@ -157,15 +164,16 @@ let run_ops backend ops =
   let lb = Option.get (Runtime.lb rt) in
   Lb.set_fault_budget lb 3;
   let results = List.map (run_op rt) ops in
-  let submitted = Lb.ring_submitted_count lb in
-  if submitted <> Lb.ring_drained_count lb + Lb.ring_pending lb then
+  let k = kernel rt in
+  let submitted = K.ring_submitted_count k in
+  if submitted <> K.ring_drained_count k + K.ring_pending k then
     QCheck.Test.fail_reportf "ring unbalanced: %d submitted <> %d + %d"
-      submitted (Lb.ring_drained_count lb) (Lb.ring_pending lb);
-  if Lb.ring_pending lb <> 0 then
+      submitted (K.ring_drained_count k) (K.ring_pending k);
+  if K.ring_pending k <> 0 then
     QCheck.Test.fail_reportf
       "%d entries still pending after the sequence (awaits and epilogs \
        should have drained everything)"
-      (Lb.ring_pending lb);
+      (K.ring_pending k);
   let m = Obs.metrics (Runtime.machine rt).Machine.obs in
   let check name total counter =
     if total <> counter then
@@ -174,9 +182,9 @@ let run_ops backend ops =
   in
   check "ring_submitted" (Metrics.total m "ring_submitted") submitted;
   check "ring_drained" (Metrics.total m "ring_drained")
-    (Lb.ring_drained_count lb);
+    (K.ring_drained_count k);
   check "ring_batches" (Metrics.total m "ring_batches")
-    (Lb.ring_batches_count lb);
+    (K.ring_batches_count k);
   ( {
       o_results = results;
       o_faults = Lb.fault_count lb;
@@ -202,6 +210,7 @@ let op_gen =
         (2, return Batched_denied);
         (2, return Batched_trusted);
         (2, return Direct_io);
+        (1, return Batched_errno);
         (2, return Nowait_io);
         (2, map (fun n -> Fiber_round n) (int_range 1 6));
         (1, return Supervised_denied);
@@ -249,41 +258,41 @@ let drain_tests =
       `Quick (fun () ->
         Sysring.with_flag true @@ fun () ->
         let rt = boot Lb.Mpk in
-        let lb = Option.get (Runtime.lb rt) in
+        let k = kernel rt in
         (* Ring capacity is 64: the 65th submission must drain the 64
            queued entries first so submission order is preserved. *)
-        let comps = List.init 70 (fun _ -> Lb.submit lb K.Getpid) in
-        Alcotest.(check int) "one forced batch" 1 (Lb.ring_batches_count lb);
-        Alcotest.(check int) "full ring drained" 64 (Lb.ring_drained_count lb);
-        Alcotest.(check int) "overflow still queued" 6 (Lb.ring_pending lb);
+        let comps = List.init 70 (fun _ -> K.ring_submit k K.Getpid) in
+        Alcotest.(check int) "one forced batch" 1 (K.ring_batches_count k);
+        Alcotest.(check int) "full ring drained" 64 (K.ring_drained_count k);
+        Alcotest.(check int) "overflow still queued" 6 (K.ring_pending k);
         Alcotest.(check bool) "first entry completed" true
-          (Lb.completion_ready (List.hd comps));
+          (K.completion_ready (List.hd comps));
         (* Awaiting a still-pending completion drains the rest. *)
         List.iter
           (fun c ->
-            match Lb.await lb c with
+            match K.ring_await k c with
             | Ok _ -> ()
             | Error e -> Alcotest.fail ("getpid errno: " ^ K.errno_name e))
           comps;
         Alcotest.(check int) "nothing pending after await" 0
-          (Lb.ring_pending lb);
-        Alcotest.(check int) "balance" (Lb.ring_submitted_count lb)
-          (Lb.ring_drained_count lb));
+          (K.ring_pending k);
+        Alcotest.(check int) "balance" (K.ring_submitted_count k)
+          (K.ring_drained_count k));
     Alcotest.test_case "the epilog drains before the environment leaves"
       `Quick (fun () ->
         Sysring.with_flag true @@ fun () ->
         let rt = boot Lb.Vtx in
-        let lb = Option.get (Runtime.lb rt) in
+        let k = kernel rt in
         let comp = ref None in
         Runtime.with_enclosure rt "io" (fun () ->
-            comp := Some (Lb.submit lb K.Getuid);
-            Alcotest.(check int) "queued inside" 1 (Lb.ring_pending lb);
+            comp := Some (K.ring_submit k K.Getuid);
+            Alcotest.(check int) "queued inside" 1 (K.ring_pending k);
             Alcotest.(check bool) "not completed inside" false
-              (Lb.completion_ready (Option.get !comp)));
-        Alcotest.(check int) "drained by the epilog" 0 (Lb.ring_pending lb);
+              (K.completion_ready (Option.get !comp)));
+        Alcotest.(check int) "drained by the epilog" 0 (K.ring_pending k);
         Alcotest.(check bool) "completed by the epilog" true
-          (Lb.completion_ready (Option.get !comp));
-        match Lb.await lb (Option.get !comp) with
+          (K.completion_ready (Option.get !comp));
+        match K.ring_await k (Option.get !comp) with
         | Ok _ -> ()
         | Error e -> Alcotest.fail ("getuid errno: " ^ K.errno_name e));
     Alcotest.test_case "parked fibers share one batch and one VM EXIT"
@@ -291,6 +300,7 @@ let drain_tests =
         Sysring.with_flag true @@ fun () ->
         let rt = boot Lb.Vtx in
         let lb = Option.get (Runtime.lb rt) in
+        let k = kernel rt in
         let vm0 = Lb.vmexit_count lb in
         let slots = Array.make 5 "unscheduled" in
         Runtime.run_main rt (fun () ->
@@ -304,8 +314,8 @@ let drain_tests =
         (* All five fibers parked on their completions; the scheduler's
            empty-runq drain served them in a single batch — on LB_VTX,
            a single hypercall. *)
-        Alcotest.(check int) "one batch" 1 (Lb.ring_batches_count lb);
-        Alcotest.(check int) "five entries" 5 (Lb.ring_drained_count lb);
+        Alcotest.(check int) "one batch" 1 (K.ring_batches_count k);
+        Alcotest.(check int) "five entries" 5 (K.ring_drained_count k);
         Alcotest.(check int) "one VM EXIT for the batch" (vm0 + 1)
           (Lb.vmexit_count lb);
         Array.iter
@@ -358,16 +368,17 @@ let denied_tests =
         Sysring.with_flag true @@ fun () ->
         let rt = boot Lb.Vtx in
         let lb = Option.get (Runtime.lb rt) in
+        let k = kernel rt in
         let raised =
           try
             Runtime.with_enclosure rt "enc" (fun () ->
-                let c = Lb.submit lb K.Getuid in
-                Lb.drain lb;
+                let c = K.ring_submit k K.Getuid in
+                K.ring_drain k;
                 Alcotest.(check bool) "completed after drain" true
-                  (Lb.completion_ready c);
+                  (K.completion_ready c);
                 Alcotest.(check int) "fault recorded at drain" 1
                   (Lb.fault_count lb);
-                match Lb.await lb c with
+                match K.ring_await k c with
                 | Ok _ | Error _ -> "no fault"
                 | exception Lb.Fault { reason; _ } -> reason)
           with Lb.Fault { reason; _ } -> reason
@@ -381,14 +392,121 @@ let denied_tests =
       (fun () ->
         Sysring.with_flag false @@ fun () ->
         let rt = boot Lb.Mpk in
-        let lb = Option.get (Runtime.lb rt) in
+        let k = kernel rt in
         Runtime.with_enclosure rt "io" (fun () ->
             (match Runtime.syscall_batched rt K.Getuid with
             | Ok _ -> ()
             | Error e -> Alcotest.fail ("getuid errno: " ^ K.errno_name e));
             Runtime.syscall_nowait rt K.Getpid);
-        Alcotest.(check int) "no submissions" 0 (Lb.ring_submitted_count lb);
-        Alcotest.(check int) "no batches" 0 (Lb.ring_batches_count lb));
+        Alcotest.(check int) "no submissions" 0 (K.ring_submitted_count k);
+        Alcotest.(check int) "no batches" 0 (K.ring_batches_count k));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The Baseline ring: the ring is the kernel's, so a program without
+   LitterBox batches too — and still does exactly what it did. *)
+
+let boot_baseline cores =
+  match
+    Runtime.boot { Runtime.baseline with Runtime.cores } ~packages:(packages ())
+      ~entry:"main"
+  with
+  | Ok rt -> rt
+  | Error e -> failwith ("test_sysring baseline boot: " ^ e)
+
+let baseline_prop ops =
+  let run flag =
+    Sysring.with_flag flag @@ fun () ->
+    let rt = boot_baseline 1 in
+    let results = List.map (run_op rt) ops in
+    (* Without LitterBox there is no epilog drain: trailing
+       fire-and-forget entries wait for the next drain point — this
+       quiesce. *)
+    let k = kernel rt in
+    K.ring_drain k;
+    (results, K.syscall_count k, K.ring_submitted_count k, K.ring_pending k)
+  in
+  let on, count_on, submitted, pending = run true in
+  let off, count_off, submitted_off, _ = run false in
+  if on <> off then
+    QCheck.Test.fail_reportf "results diverged:\n  ring on:  %s\n  ring off: %s"
+      (String.concat "; " on) (String.concat "; " off);
+  if count_on <> count_off then
+    QCheck.Test.fail_reportf "syscall_count diverged: on %d, off %d" count_on
+      count_off;
+  if submitted_off <> 0 || pending <> 0 then
+    QCheck.Test.fail_reportf "ring off submitted %d, ring on left %d pending"
+      submitted_off pending;
+  ignore submitted;
+  true
+
+let http_baseline flag =
+  Sysring.with_flag flag @@ fun () ->
+  let rt, r =
+    Encl_apps.Scenarios.http_rt None
+      ~rcfg:{ Runtime.baseline with Runtime.cores = 1 }
+      ~requests:100 ()
+  in
+  let k = kernel rt in
+  (* Allocator span growth (mmap) moves with fiber interleaving; the
+     ring never carries it, so compare the workload's own calls. *)
+  let workload =
+    List.filter
+      (fun (nr, _) -> Encl_kernel.Sysno.(category nr <> Cat_mem))
+      (K.trace k)
+  in
+  ( r.Encl_apps.Scenarios.h_requests,
+    workload,
+    K.syscall_count k,
+    K.trap_count k )
+
+let baseline_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"ring on and off give the Baseline identical results" ~count:100
+         (QCheck.make
+            ~print:(fun ops -> String.concat ", " (List.map op_name ops))
+            QCheck.Gen.(list_size (int_range 1 30) op_gen))
+         baseline_prop);
+    Alcotest.test_case "Baseline http pays fewer traps than it makes syscalls"
+      `Quick (fun () ->
+        let served, workload, syscalls, traps = http_baseline true in
+        let served', workload', syscalls', traps' = http_baseline false in
+        Alcotest.(check int) "same requests served" served' served;
+        Alcotest.(check bool)
+          "same workload syscalls" true (workload = workload');
+        Alcotest.(check int) "ring off: one trap per syscall" syscalls' traps';
+        if traps >= syscalls then
+          Alcotest.failf "ring on: %d traps for %d syscalls" traps syscalls);
+    Alcotest.test_case "each core drains its entries on its own lane" `Quick
+      (fun () ->
+        Sysring.with_flag true @@ fun () ->
+        let rt = boot_baseline 4 in
+        let k = kernel rt in
+        let clock = Runtime.clock rt in
+        let lanes () = Array.init 4 (Clock.lane_ns clock) in
+        let lanes0 = lanes () and now0 = Clock.now clock in
+        let comps =
+          List.init 4 (fun core ->
+              Clock.set_lane clock core;
+              K.ring_submit k K.Getpid)
+        in
+        Clock.set_lane clock 0;
+        K.ring_drain k;
+        List.iter (fun c -> ignore (K.ring_await k c)) comps;
+        let spent = Array.mapi (fun i ns -> ns - lanes0.(i)) (lanes ()) in
+        Alcotest.(check int) "per-lane ns sum to the total"
+          (Clock.now clock - now0)
+          (Array.fold_left ( + ) 0 spent);
+        Array.iteri
+          (fun core ns ->
+            Alcotest.(check int)
+              (Printf.sprintf "lane %d paid its own submit, trap, entry" core)
+              spent.(0) ns)
+          spent;
+        Alcotest.(check int) "one batch per core" 4 (K.ring_batches_count k);
+        Alcotest.(check int) "one IPI per remote core" 3 (K.ring_ipi_count k));
   ]
 
 let () =
@@ -397,4 +515,5 @@ let () =
       ("differential", differential_tests);
       ("drain-points", drain_tests);
       ("denied-entries", denied_tests);
+      ("baseline", baseline_tests);
     ]
