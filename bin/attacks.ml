@@ -19,10 +19,16 @@ module Backend = Encl_litterbox.Backend
 module Json = Encl_obs.Export.Json
 open Cmdliner
 
+(* An unwritable output path ends the run with a message and exit
+   status 1, not an uncaught exception. *)
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
+  match
+    Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  with
+  | () -> ()
+  | exception Sys_error e ->
+      prerr_endline ("attacks: cannot write " ^ e);
+      exit 1
 
 let clip n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "…"
 

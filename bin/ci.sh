@@ -84,8 +84,9 @@ fi
 dune exec bin/trace_dump.exe -- validate BENCH_results.json
 
 stage "bench regression gate"
-# Fresh quick-mode rows must stay within each metric's tolerance of
-# bench/baseline.json, and every fresh row must have a baseline entry
+# Fresh quick-mode rows on the simulated clock must be no worse than
+# bench/baseline.json, exactly (host wall-clock rows are informational),
+# and every fresh row must have a baseline entry
 # (exit 1 on regression or unbaselined row; regenerate deliberately
 # with `dune exec bin/profile.exe -- gate --write-baseline`).
 dune exec bin/profile.exe -- gate
@@ -153,6 +154,18 @@ dune exec bin/trace_dump.exe -- wiki --requests 200 \
   --out-dir "$tmp/rerun-witness" > /dev/null
 if ! cmp -s "$tmp/witness.json" "$tmp/rerun-witness/witness.json"; then
   echo "ci: witness.json diverged between identical runs" >&2
+  exit 1
+fi
+# An unwritable --out-dir (here a regular file) is reported, not
+# crashed on: exit 1 with a "cannot write" message and no uncaught
+# exception.
+status=0
+dune exec bin/trace_dump.exe -- http --requests 50 \
+  --out-dir "$tmp/trace.json" > /dev/null 2> "$tmp/bad_out_dir.err" || status=$?
+if [ "$status" != 1 ] || ! grep -q "trace-dump: cannot write" "$tmp/bad_out_dir.err" ||
+   grep -q "uncaught exception" "$tmp/bad_out_dir.err"; then
+  echo "ci: trace_dump with an unwritable --out-dir exited $status, want 1 with a message" >&2
+  cat "$tmp/bad_out_dir.err" >&2
   exit 1
 fi
 

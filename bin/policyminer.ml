@@ -160,11 +160,18 @@ let snapshot_string name mined =
                 mined) );
        ])
 
+(* An unwritable output path ends the run with a message and exit
+   status 1, not an uncaught exception. *)
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents;
-      output_char oc '\n')
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc contents;
+        output_char oc '\n')
+  with
+  | () -> ()
+  | exception Sys_error e ->
+      prerr_endline ("policyminer: cannot write " ^ e);
+      exit 1
 
 let read_snapshot path =
   match In_channel.with_open_bin path In_channel.input_all with

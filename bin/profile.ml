@@ -1014,7 +1014,7 @@ let gate_cmd =
     (Cmd.info "gate"
        ~doc:
          "Diff fresh BENCH_results.json rows against bench/baseline.json \
-          with per-metric tolerances; exit 1 on regression, on a vanished \
+          exactly, per metric direction; exit 1 on regression, on a vanished \
           row, or on a fresh row with no baseline entry.")
     Term.(const gate $ baseline_arg $ results_arg $ write_arg)
 

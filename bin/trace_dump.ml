@@ -22,10 +22,19 @@ module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
 open Cmdliner
 
+(* An unwritable output path (say, a regular file or an uncreatable
+   directory as --out-dir) ends the run with a message and exit status
+   1, not an uncaught exception. *)
+let cannot_write e =
+  prerr_endline ("trace-dump: cannot write " ^ e);
+  exit 1
+
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc contents)
+  match
+    Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  with
+  | () -> ()
+  | exception Sys_error e -> cannot_write e
 
 (* The acceptance invariant: the sink's cross-scope totals must agree
    exactly with LitterBox's own counters, the syscall ring must balance
@@ -221,7 +230,7 @@ let run name backend requests out_dir summary =
           Sys.mkdir dir 0o755
         end
       in
-      mkdir_p out_dir;
+      (try mkdir_p out_dir with Sys_error e -> cannot_write e);
       let trace_path = Filename.concat out_dir "trace.json" in
       let metrics_path = Filename.concat out_dir "metrics.json" in
       let witness_path = Filename.concat out_dir "witness.json" in

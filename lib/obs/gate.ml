@@ -1,47 +1,32 @@
 (* Bench regression gate: diff a fresh BENCH_results.json against the
-   committed bench/baseline.json row-by-row, with a per-metric direction
-   and relative tolerance. The comparison is a library (rather than
-   living in bin/profile.ml) so tests can drive it directly — e.g. the
-   "inflate a cost 2x and the gate fires" check. *)
+   committed bench/baseline.json row-by-row, with a per-metric
+   direction. The comparison is a library (rather than living in
+   bin/profile.ml) so tests can drive it directly — e.g. the "inflate a
+   cost 2x and the gate fires" check. *)
 
 module Json = Export.Json
 
 type direction = Higher_better | Lower_better | Informational
 
-type rule = { direction : direction; tolerance : float }
-
-(* Metric families produced by bench/main.ml.  Timings and slowdowns
-   regress upward; throughput and availability regress downward.  Event
-   counts (injected faults, reconnects, failed connections) are
-   recorded for information only: their "good" direction depends on the
-   scenario, so the gate never fails on them. *)
+(* Metric families produced by bench/main.ml. Every directional family
+   is measured on the simulated clock, which is deterministic: a row
+   repeats bit for bit, so any move in the worse direction is a real
+   regression and the gate allows none. Timings and slowdowns regress
+   upward; throughput, availability and scores regress downward. Host
+   wall-clock rows and event counts (injected faults, reconnects,
+   failed connections) are recorded for information only: the former
+   are noisy, the latter have no inherent "good" direction. *)
 let rule_for metric =
   match metric with
-  | "req_per_sec" -> { direction = Higher_better; tolerance = 0.10 }
-  | "availability" -> { direction = Higher_better; tolerance = 0.05 }
-  | "hit_rate" -> { direction = Higher_better; tolerance = 0.05 }
-  (* Deterministic: the corpus either contains an attack or it does
-     not, so any dip below baseline is a real security regression. *)
-  | "containment_score" -> { direction = Higher_better; tolerance = 0.0 }
-  | "ms_per_invert" -> { direction = Lower_better; tolerance = 0.10 }
-  (* Deterministic: the miner folds a witnessed run into the same
-     literals every time, so a wider mined policy means a capability
-     leaked into a scenario — gate with zero tolerance. *)
-  | "policy_width" -> { direction = Lower_better; tolerance = 0.0 }
-  (* Deterministic: every copy path charges the ledger by exact byte
-     count, so any growth means a copy crept back into the zero-copy
-     data plane — gate with zero tolerance. *)
-  | "bytes_copied" -> { direction = Lower_better; tolerance = 0.0 }
-  | "conservative_slowdown" | "decoupled_slowdown" ->
-      { direction = Lower_better; tolerance = 0.15 }
-  (* SMP scaling: the 4-core speedup per core must not erode. Steal
-     counts are deterministic but legitimately move a little when the
-     workload mix shifts; a sustained climb means affinity is lost. *)
-  | "scaling_efficiency" -> { direction = Higher_better; tolerance = 0.05 }
-  | "steal_count" -> { direction = Lower_better; tolerance = 0.25 }
-  | m when String.length m > 3 && Filename.check_suffix m "_ns" ->
-      { direction = Lower_better; tolerance = 0.10 }
-  | _ -> { direction = Informational; tolerance = 0.0 }
+  | "host_ns_per_run" -> Informational
+  | "req_per_sec" | "availability" | "hit_rate" | "containment_score"
+  | "scaling_efficiency" ->
+      Higher_better
+  | "ms_per_invert" | "policy_width" | "bytes_copied" | "conservative_slowdown"
+  | "decoupled_slowdown" | "steal_count" ->
+      Lower_better
+  | m when String.length m > 3 && Filename.check_suffix m "_ns" -> Lower_better
+  | _ -> Informational
 
 type row = {
   workload : string;
@@ -88,7 +73,7 @@ let parse_doc contents =
                 }))
 
 type verdict =
-  | Pass of float  (** relative delta, within tolerance *)
+  | Pass  (** equal to the baseline *)
   | Improved of float
   | Regressed of float
   | Info of float
@@ -102,28 +87,22 @@ type report = {
   quick_mismatch : bool;
 }
 
-(* Relative delta, signed so that positive always means "worse" for the
-   metric's direction.  A zero baseline cannot support a relative
-   comparison; treat any change as informational there.  A zero
-   hit_rate on either side means no probe ran at all (the cache was
-   bypassed or the workload issued no filtered syscalls), not a cold
-   cache: skip the row rather than flag a bogus regression. *)
-let judge rule ~metric ~base ~fresh =
-  if Float.abs base < 1e-9 then Info (fresh -. base)
-  else if metric = "hit_rate" && Float.abs fresh < 1e-9 then
-    Info (fresh -. base)
+(* Directional rows are compared exactly. The delta reported is
+   relative, (fresh - base) / |base|, so it is infinite against a zero
+   baseline. A zero hit_rate on either side means no probe ran at all
+   (the cache was bypassed or the workload issued no filtered
+   syscalls), not a cold cache: skip the row rather than flag a bogus
+   regression. *)
+let judge direction ~metric ~base ~fresh =
+  let delta = (fresh -. base) /. Float.abs base in
+  if metric = "hit_rate" && (base = 0.0 || fresh = 0.0) then Info delta
   else
-    let delta = (fresh -. base) /. Float.abs base in
-    match rule.direction with
+    match direction with
     | Informational -> Info delta
-    | Higher_better ->
-        if delta < -.rule.tolerance then Regressed delta
-        else if delta > rule.tolerance then Improved delta
-        else Pass delta
-    | Lower_better ->
-        if delta > rule.tolerance then Regressed delta
-        else if delta < -.rule.tolerance then Improved delta
-        else Pass delta
+    | _ when fresh = base -> Pass
+    | Higher_better when fresh < base -> Regressed delta
+    | Lower_better when fresh > base -> Regressed delta
+    | Higher_better | Lower_better -> Improved delta
 
 let compare_docs ~baseline ~fresh =
   let tbl = Hashtbl.create 64 in
@@ -178,14 +157,13 @@ let render report =
             f.row.value
       | Regressed d ->
           bump "regressed";
-          line "FAIL  %-40s %.3f -> %.3f (%s, tolerance %.0f%%)" k f.row.value
+          line "FAIL  %-40s %.3f -> %.3f (%s, exact metric)" k f.row.value
             (Option.get f.fresh) (pct d)
-            (100.0 *. (rule_for f.row.metric).tolerance)
       | Improved d ->
           bump "improved";
           line "  ok  %-40s %.3f -> %.3f (%s, improved)" k f.row.value
             (Option.get f.fresh) (pct d)
-      | Pass _ -> bump "pass"
+      | Pass -> bump "pass"
       | Info _ -> bump "info")
     report.findings;
   List.iter

@@ -1,6 +1,8 @@
 (** Bench regression gate: compare a fresh [BENCH_results.json] against
     the committed [bench/baseline.json], row by row, with per-metric
-    directions and relative tolerances.  [bin/profile.exe gate] is a
+    directions. Directional metrics come from the deterministic
+    simulated clock and are compared exactly: any move in the worse
+    direction fails, an improvement passes.  [bin/profile.exe gate] is a
     thin shell over this module; tests drive it directly. *)
 
 type direction =
@@ -8,13 +10,13 @@ type direction =
   | Lower_better  (** timings, slowdowns: a rise regresses *)
   | Informational  (** counts with no inherent direction: never fail *)
 
-type rule = { direction : direction; tolerance : float }
-
-val rule_for : string -> rule
-(** Rule for a metric name: [req_per_sec], [availability] and
-    [hit_rate] are higher-better; [ms_per_invert], the slowdown
-    factors, and any [*_ns] timing are lower-better; everything else
-    informational. *)
+val rule_for : string -> direction
+(** Direction for a metric name: [req_per_sec], [availability],
+    [hit_rate], [containment_score] and [scaling_efficiency] are
+    higher-better; [ms_per_invert], [policy_width], [bytes_copied],
+    [steal_count], the slowdown factors, and any simulated [*_ns]
+    timing are lower-better; the host wall-clock [host_ns_per_run] and
+    everything else are informational. *)
 
 type row = {
   workload : string;
@@ -33,7 +35,7 @@ val parse_doc : string -> (doc, string) result
     ignored).  Errors name the first malformed row. *)
 
 type verdict =
-  | Pass of float  (** relative delta, within tolerance *)
+  | Pass  (** equal to the baseline *)
   | Improved of float
   | Regressed of float
   | Info of float

@@ -2,7 +2,10 @@
 
     The simulation keeps one page table per LB_VTX execution environment
     and a single shared page table for LB_MPK (whose environments differ
-    only in the PKRU register value). *)
+    only in the PKRU register value). Entries live in an int-keyed
+    table with an identity hash, so {!walk}, {!map}, {!unmap} and
+    {!protect} never call the polymorphic hash or compare. The page
+    table's {!name} is its address-space identity for {!Tlb}. *)
 
 type t
 
@@ -30,6 +33,7 @@ val set_pkey : t -> vpn:int -> int -> unit
 
 val mapped_count : t -> int
 val iter : t -> (int -> Pte.t -> unit) -> unit
+(** Visit every entry, in no specified order. *)
 
 val clone : t -> name:string -> t
 (** Deep copy (fresh [Pte.t] records, shared frames): used by LB_VTX to

@@ -6,7 +6,12 @@
     it — one of the structural reasons MPK switching is cheap. The model
     tracks hits, misses, and flushes; it charges no simulated time (TLB
     effects are already folded into the calibrated switch costs), but the
-    counters let benchmarks report locality. *)
+    counters let benchmarks report locality.
+
+    An address space is identified by its page table's {e name}. Inside
+    each TLB the name is interned to a small int, and a translation is
+    keyed by one int packing that id with the vpn, so an access neither
+    allocates nor hashes a string. Ids are recycled on every flush. *)
 
 type t
 
@@ -15,10 +20,14 @@ val create : ?capacity:int -> unit -> t
 
 val access : t -> space:string -> vpn:int -> bool
 (** Record an access; [true] on hit. [space] names the address space
-    (page-table identity). *)
+    (page-table identity): equal names are the same space. Any vpn of a
+    63-bit address ([-2^50 <= vpn < 2^50]) is exact. Raises
+    [Invalid_argument] if more than 2048 distinct spaces are accessed
+    between two flushes. *)
 
 val flush : t -> unit
-(** Drop every cached translation (a CR3 move without PCID). *)
+(** Drop every cached translation (a CR3 move without PCID). Costs time
+    in proportion to {!occupancy}, not to the table's size. *)
 
 val hits : t -> int
 val misses : t -> int

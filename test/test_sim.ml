@@ -317,6 +317,188 @@ let tlb_tests =
         Alcotest.(check int) "flushed" (f0 + 1) (Tlb.flushes (Cpu.tlb cpu)));
   ]
 
+(* Differential properties: the int-keyed Tlb and Pagetable against the
+   obvious models — a list FIFO of (space, vpn) pairs and a Map. *)
+
+type ref_tlb = {
+  cap : int;
+  mutable resident : (string * int) list;  (** oldest first *)
+  mutable r_hits : int;
+  mutable r_misses : int;
+  mutable r_flushes : int;
+}
+
+let ref_access r key =
+  if List.mem key r.resident then begin
+    r.r_hits <- r.r_hits + 1;
+    true
+  end
+  else begin
+    r.r_misses <- r.r_misses + 1;
+    let kept =
+      if List.length r.resident >= r.cap then List.tl r.resident else r.resident
+    in
+    r.resident <- kept @ [ key ];
+    false
+  end
+
+type tlb_op = Access of int * int * bool | Flush
+
+let show_tlb_op = function
+  | Access (s, vpn, fresh) -> Printf.sprintf "access s%d %d%s" s vpn (if fresh then " (copy)" else "")
+  | Flush -> "flush"
+
+(* Small vpns collide often; the extremes of a 63-bit address's vpn
+   exercise the key packing. *)
+let vpn_gen =
+  QCheck.Gen.(
+    frequency
+      [ (8, int_range 0 7); (1, oneofl [ -(1 lsl 50); (1 lsl 50) - 1; -1 ]) ])
+
+let tlb_case_gen =
+  QCheck.Gen.(
+    let* cap = oneofl [ 1; 2; 4; 1024 ] in
+    let* spaces = int_range 1 3 in
+    let op =
+      frequency
+        [
+          (1, return Flush);
+          ( 8,
+            map3
+              (fun s vpn fresh -> Access (s, vpn, fresh))
+              (int_bound (spaces - 1)) vpn_gen bool );
+        ]
+    in
+    let* ops = list_size (int_range 1 80) op in
+    return (cap, ops))
+
+let tlb_case =
+  QCheck.make tlb_case_gen ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map show_tlb_op ops)))
+
+let tlb_matches_reference (cap, ops) =
+  let names = [| "s0"; "s1"; "s2" |] in
+  let tlb = Tlb.create ~capacity:cap () in
+  let r = { cap; resident = []; r_hits = 0; r_misses = 0; r_flushes = 0 } in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Flush ->
+            Tlb.flush tlb;
+            r.resident <- [];
+            r.r_flushes <- r.r_flushes + 1;
+            true
+        | Access (s, vpn, fresh) ->
+            (* A fresh copy of the name must be the same space. *)
+            let space = if fresh then "s" ^ string_of_int s else names.(s) in
+            Tlb.access tlb ~space ~vpn = ref_access r (names.(s), vpn)
+      in
+      same_result
+      && Tlb.hits tlb = r.r_hits
+      && Tlb.misses tlb = r.r_misses
+      && Tlb.flushes tlb = r.r_flushes
+      && Tlb.occupancy tlb = List.length r.resident)
+    ops
+
+module Vmap = Map.Make (Int)
+
+type pt_op =
+  | Map of int * int
+  | Unmap of int
+  | Walk of int
+  | Protect of int * bool
+  | Clone
+
+let show_pt_op = function
+  | Map (vpn, ppn) -> Printf.sprintf "map %d->%d" vpn ppn
+  | Unmap vpn -> Printf.sprintf "unmap %d" vpn
+  | Walk vpn -> Printf.sprintf "walk %d" vpn
+  | Protect (vpn, w) -> Printf.sprintf "protect %d %s" vpn (if w then "rw" else "r")
+  | Clone -> "clone"
+
+let pt_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_pt_op ops))
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (4, map2 (fun vpn ppn -> Map (vpn, ppn)) vpn_gen (int_bound 99));
+             (2, map (fun vpn -> Unmap vpn) vpn_gen);
+             (4, map (fun vpn -> Walk vpn) vpn_gen);
+             (2, map2 (fun vpn w -> Protect (vpn, w)) vpn_gen bool);
+             (1, return Clone);
+           ]))
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+let pte_view (p : Pte.t) = (p.Pte.ppn, p.Pte.perms)
+
+(* The reference's rendering of [Pagetable.pp]: entries by ascending vpn. *)
+let ref_pp name m =
+  let ppf_entries =
+    Vmap.bindings m
+    |> List.map (fun (vpn, (ppn, perms)) ->
+           Format.asprintf "@ %#x -> %a" vpn Pte.pp (Pte.make ~ppn ~perms))
+  in
+  Format.asprintf "@[<v>pagetable %s (%d entries)%s@]" name (Vmap.cardinal m)
+    (String.concat "" ppf_entries)
+
+let pt_matches_reference ops =
+  let pt = ref (Pagetable.create ~name:"pt0") in
+  let m = ref Vmap.empty in
+  (* Clones left behind, with the contents they must keep. *)
+  let frozen = ref [] in
+  let step op =
+    match op with
+    | Map (vpn, ppn) ->
+        let mapped = Vmap.mem vpn !m in
+        let raised =
+          raises_invalid (fun () -> Pagetable.map !pt ~vpn (Pte.make ~ppn ~perms:perms_r))
+        in
+        if not mapped then m := Vmap.add vpn (ppn, perms_r) !m;
+        raised = mapped
+    | Unmap vpn ->
+        let mapped = Vmap.mem vpn !m in
+        let raised = raises_invalid (fun () -> Pagetable.unmap !pt ~vpn) in
+        m := Vmap.remove vpn !m;
+        raised = not mapped
+    | Walk vpn ->
+        Option.map pte_view (Pagetable.walk !pt ~vpn) = Vmap.find_opt vpn !m
+    | Protect (vpn, w) ->
+        let perms = if w then perms_rw else perms_r in
+        let mapped = Vmap.mem vpn !m in
+        let raised = raises_invalid (fun () -> Pagetable.protect !pt ~vpn perms) in
+        m := Vmap.update vpn (Option.map (fun (ppn, _) -> (ppn, perms))) !m;
+        raised = not mapped
+    | Clone ->
+        frozen := (!pt, !m) :: !frozen;
+        pt := Pagetable.clone !pt ~name:(Printf.sprintf "pt%d" (List.length !frozen));
+        true
+  in
+  let view pt =
+    let acc = ref Vmap.empty in
+    Pagetable.iter pt (fun vpn pte -> acc := Vmap.add vpn (pte_view pte) !acc);
+    !acc
+  in
+  List.for_all (fun op -> step op && Pagetable.mapped_count !pt = Vmap.cardinal !m) ops
+  && Vmap.equal ( = ) (view !pt) !m
+  && Format.asprintf "%a" Pagetable.pp !pt = ref_pp (Pagetable.name !pt) !m
+  && List.for_all (fun (pt, m) -> Vmap.equal ( = ) (view pt) m) !frozen
+
+let mmu_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Tlb agrees with a list-FIFO reference" ~count:500
+         tlb_case tlb_matches_reference);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Pagetable agrees with a Map reference" ~count:500
+         pt_ops pt_matches_reference);
+  ]
+
 let vtx_tests =
   [
     Alcotest.test_case "creation consumes kvm setup" `Quick (fun () ->
@@ -366,7 +548,7 @@ let () =
       ("pagetable", pagetable_tests);
       ("mpk", mpk_tests @ mpk_props);
       ("cpu", cpu_tests);
-      ("tlb", tlb_tests);
+      ("tlb", tlb_tests @ mmu_props);
       ("misc", misc_tests);
       ("clock", clock_tests);
       ("vtx", vtx_tests);

@@ -352,7 +352,7 @@ let switch_pair_ns costs =
 let gate_tests =
   [
     Alcotest.test_case "metric rules" `Quick (fun () ->
-        let dir m = (Gate.rule_for m).Gate.direction in
+        let dir = Gate.rule_for in
         Alcotest.(check bool) "req_per_sec higher" true
           (dir "req_per_sec" = Gate.Higher_better);
         Alcotest.(check bool) "call_ns lower" true
@@ -360,7 +360,9 @@ let gate_tests =
         Alcotest.(check bool) "slowdown lower" true
           (dir "conservative_slowdown" = Gate.Lower_better);
         Alcotest.(check bool) "counts informational" true
-          (dir "reconnects" = Gate.Informational));
+          (dir "reconnects" = Gate.Informational);
+        Alcotest.(check bool) "host time informational" true
+          (dir "host_ns_per_run" = Gate.Informational));
     Alcotest.test_case "parse_doc round-trips bench rows" `Quick (fun () ->
         let text =
           Json.to_string
@@ -445,6 +447,30 @@ let gate_tests =
         let fresh = doc ~quick:false [] in
         Alcotest.(check bool) "failed" true
           (Gate.failed (Gate.compare_docs ~baseline ~fresh)));
+    Alcotest.test_case "simulated rows are exact" `Quick (fun () ->
+        (* The simulated clock is deterministic, so a 0.1% drop is a
+           real regression; a rise from a zero baseline is one too. *)
+        let rows rps steals =
+          doc
+            [
+              row "http" "LB_MPK" "req_per_sec" rps;
+              row "smp_http_1core" "LB_MPK" "steal_count" steals;
+            ]
+        in
+        let baseline = rows 25026.0 0.0 in
+        let fails fresh = Gate.failed (Gate.compare_docs ~baseline ~fresh) in
+        Alcotest.(check bool) "0.1% drop fails" true (fails (rows 25001.0 0.0));
+        Alcotest.(check bool) "rise from zero fails" true (fails (rows 25026.0 1.0));
+        Alcotest.(check bool) "equal passes" false (fails (rows 25026.0 0.0)));
+    Alcotest.test_case "host rows never fail" `Quick (fun () ->
+        let host v =
+          doc [ row "section6.4/python-1k-points" "LB_VTX" "host_ns_per_run" v ]
+        in
+        List.iter
+          (fun v ->
+            Alcotest.(check bool) "50% swing passes" false
+              (Gate.failed (Gate.compare_docs ~baseline:(host 8e6) ~fresh:(host v))))
+          [ 4e6; 12e6 ]);
     Alcotest.test_case "improvements never fail" `Quick (fun () ->
         let baseline = doc [ row "table1" "LB_MPK" "call_ns" 100.0 ] in
         let fresh = doc [ row "table1" "LB_MPK" "call_ns" 50.0 ] in
