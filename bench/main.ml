@@ -10,7 +10,8 @@ module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
 module Scenarios = Encl_apps.Scenarios
-module Malice = Encl_apps.Malice
+module Legacy = Encl_attack.Legacy
+module Cli = Encl_cli.Cli
 module Attack = Encl_attack.Attack
 module Backend = Encl_litterbox.Backend
 module Bild = Encl_apps.Bild
@@ -69,9 +70,7 @@ let write_results () =
     Json.Obj
       [ ("quick", Json.Bool quick); ("rows", Json.List (List.rev !results)) ]
   in
-  let oc = open_out "BENCH_results.json" in
-  output_string oc (Json.to_string doc);
-  close_out oc;
+  Cli.write_file ~tool:"bench" "BENCH_results.json" (Json.to_string doc);
   Printf.printf "wrote BENCH_results.json (%d rows)\n"
     (List.length !results)
 
@@ -349,15 +348,15 @@ let security () =
       List.iter
         (fun mitigation ->
           let backend =
-            match mitigation with Malice.Unprotected -> None | _ -> Some Lb.Mpk
+            match mitigation with Legacy.Unprotected -> None | _ -> Some Lb.Mpk
           in
-          let o = Malice.run ~backend attack mitigation in
+          let o = Legacy.run ~backend attack mitigation in
           Printf.printf "%-14s %-20s %-6b %-8b %-6d\n%!"
-            (Malice.attack_name attack)
-            (Malice.mitigation_name mitigation)
-            o.Malice.legit_ok o.Malice.attack_blocked o.Malice.exfiltrated)
-        Malice.all_mitigations)
-    Malice.all_attacks;
+            (Legacy.attack_name attack)
+            (Legacy.mitigation_name mitigation)
+            o.Legacy.legit_ok o.Legacy.attack_blocked o.Legacy.exfiltrated)
+        Legacy.all_mitigations)
+    Legacy.all_attacks;
   Printf.printf
     "(ssh-decorator needs mitigation 1 or 2 to keep working while contained, \
      as in the paper)\n"
@@ -545,8 +544,8 @@ let bechamel_tests () =
     Test.make ~name:"section6.5/ssh-decorator-run"
       (Staged.stage (fun () ->
            ignore
-             (Malice.run ~backend:(Some Lb.Mpk) Malice.Ssh_decorator
-                Malice.Default_policy)))
+             (Legacy.run ~backend:(Some Lb.Mpk) Legacy.Ssh_decorator
+                Legacy.Default_policy)))
   in
   [
     (Lb.Mpk, t1_call);
@@ -598,13 +597,14 @@ let fastpath () =
   let requests = if quick then 200 else 2000 in
   let run_http backend flag =
     Fastpath.with_flag flag (fun () ->
-        Scenarios.http_rt (Some backend) ~rcfg:(rcfg_of (Some backend))
+        Scenarios.http (Some backend) ~rcfg:(rcfg_of (Some backend))
           ~requests ())
   in
   List.iter
     (fun backend ->
-      let rt_on, on = run_http backend true in
-      let _rt_off, off = run_http backend false in
+      let on = run_http backend true in
+      let off = run_http backend false in
+      let rt_on = on.Scenarios.h_rt in
       let lb = Option.get (Runtime.lb rt_on) in
       let name = Scenarios.config_name (Some backend) in
       Printf.printf
@@ -640,15 +640,15 @@ let sysring () =
   let requests = if quick then 200 else 2000 in
   let run_http backend flag =
     Sysring.with_flag flag (fun () ->
-        Scenarios.http_rt (Some backend) ~rcfg:(rcfg_of (Some backend))
+        Scenarios.http (Some backend) ~rcfg:(rcfg_of (Some backend))
           ~requests ())
   in
   List.iter
     (fun backend ->
-      let rt_on, on = run_http backend true in
-      let rt_off, off = run_http backend false in
-      let lb = Option.get (Runtime.lb rt_on) in
-      let lb_off = Option.get (Runtime.lb rt_off) in
+      let on = run_http backend true in
+      let off = run_http backend false in
+      let lb = Option.get (Runtime.lb on.Scenarios.h_rt) in
+      let lb_off = Option.get (Runtime.lb off.Scenarios.h_rt) in
       let name = Scenarios.config_name (Some backend) in
       let batches = Lb.ring_batches_count lb in
       let batch_avg =
@@ -710,7 +710,7 @@ let resilience () =
       match config with
       | None -> () (* no enclosures to fault in the baseline *)
       | Some _ ->
-          let _rt, r =
+          let r =
             Scenarios.chaos_http config ~rcfg:(rcfg_of config) ~requests ()
           in
           let backend = Scenarios.config_name config in
@@ -723,7 +723,7 @@ let resilience () =
           add_result ~workload:"resilience_http" ~backend ~metric:"conns_failed"
             (float_of_int r.Scenarios.c_conns_failed))
     configs;
-  let _rt, r =
+  let r =
     Scenarios.chaos_wiki (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
       ~requests:(if quick then 150 else 400) ()
   in
@@ -764,24 +764,14 @@ module Miner = Encl_litterbox.Miner
 
 let policy_mining () =
   section "Policy mining: witness overhead and mined policy width";
-  let with_witness flag f =
-    let saved_obs = !Encl_obs.Obs.default_enabled in
-    let saved_w = !Encl_obs.Witness.default_enabled in
-    Encl_obs.Obs.default_enabled := flag;
-    Encl_obs.Witness.default_enabled := flag;
-    Fun.protect
-      ~finally:(fun () ->
-        Encl_obs.Obs.default_enabled := saved_obs;
-        Encl_obs.Witness.default_enabled := saved_w)
-      f
-  in
+  let with_witness flag = Cli.with_tracing ~obs:flag ~witness:flag in
   (* The recorder charges no simulated time, so witnessed req/s must
      match the unwitnessed run; the gate keeps this row near zero. *)
   let requests = if quick then 200 else 2000 in
   let run witnessed =
-    let _rt, r =
+    let r =
       with_witness witnessed (fun () ->
-          Scenarios.http_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
+          Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
             ~requests ())
     in
     r.Scenarios.h_req_per_sec
@@ -813,17 +803,16 @@ let policy_mining () =
       ~metric:"policy_width" (float_of_int total)
   in
   mined_width "http" (fun () ->
-      fst
-        (Scenarios.http_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~requests ()));
+      (Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~requests ())
+        .h_rt);
   mined_width "wiki" (fun () ->
-      fst
-        (Scenarios.wiki_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~requests:(if quick then 120 else 400) ()));
+      (Scenarios.wiki (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
+         ~requests:(if quick then 120 else 400) ())
+        .h_rt);
   mined_width "pq" (fun () ->
-      fst
-        (Scenarios.pq_rt (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-           ~queries:(if quick then 80 else 200) ()))
+      (Scenarios.pq (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
+         ~queries:(if quick then 80 else 200) ())
+        .p_rt)
 
 (* ------------------------------------------------------------------ *)
 (* SMP: the sharded machine's scaling curve                            *)

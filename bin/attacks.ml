@@ -17,54 +17,10 @@ module Attack = Encl_attack.Attack
 module Legacy = Encl_attack.Legacy
 module Backend = Encl_litterbox.Backend
 module Json = Encl_obs.Export.Json
+module Cli = Encl_cli.Cli
 open Cmdliner
 
-(* An unwritable output path ends the run with a message and exit
-   status 1, not an uncaught exception. *)
-let write_file path contents =
-  match
-    Out_channel.with_open_text path (fun oc -> output_string oc contents)
-  with
-  | () -> ()
-  | exception Sys_error e ->
-      prerr_endline ("attacks: cannot write " ^ e);
-      exit 1
-
 let clip n s = if String.length s <= n then s else String.sub s 0 (n - 1) ^ "…"
-
-(* --backend accepts a comma-separated list of short names (or "all");
-   unknown names are an error, not a silent skip. *)
-let backends_conv =
-  let parse s =
-    if String.lowercase_ascii s = "all" then Ok Backend.all
-    else
-      let names = String.split_on_char ',' s in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest -> (
-            match Backend.of_string (String.trim n) with
-            | Some b -> go (b :: acc) rest
-            | None ->
-                Error
-                  (`Msg
-                    (Printf.sprintf
-                       "unknown backend %S (expected mpk, vtx, lwc, sfi or \
-                        all)"
-                       n)))
-      in
-      go [] names
-  in
-  let print ppf bs =
-    Format.fprintf ppf "%s" (String.concat "," (List.map Backend.arg_name bs))
-  in
-  Arg.conv (parse, print)
-
-let backends_arg =
-  Arg.(
-    value
-    & opt backends_conv Backend.all
-    & info [ "backend" ] ~docv:"LIST"
-        ~doc:"Comma-separated backends to run (default: all four).")
 
 let seed_arg =
   Arg.(
@@ -203,7 +159,7 @@ let run_corpus backends seed disabled json_out =
                    per_backend) );
           ]
       in
-      write_file path (Json.to_string json);
+      Cli.write_file ~tool:"attacks" path (Json.to_string json);
       Printf.printf "\nwrote %s\n" path);
   let total_escaped =
     List.fold_left
@@ -307,7 +263,7 @@ let run_cmd =
        ~doc:
          "Run every corpus attack on every selected backend and print the \
           containment matrix.")
-    Term.(const run_corpus $ backends_arg $ seed_arg $ disable_arg $ json_arg)
+    Term.(const run_corpus $ Cli.backends $ seed_arg $ disable_arg $ json_arg)
 
 let prove_cmd =
   Cmd.v
@@ -320,7 +276,7 @@ let prove_cmd =
 let legacy_cmd =
   Cmd.v
     (Cmd.info "legacy" ~doc:"The original §6.5 attack × mitigation matrix.")
-    Term.(const legacy $ backends_arg)
+    Term.(const legacy $ Cli.backends)
 
 let list_cmd =
   Cmd.v

@@ -16,17 +16,18 @@ module Machine = Encl_litterbox.Machine
 module Lb = Encl_litterbox.Litterbox
 module Scenarios = Encl_apps.Scenarios
 module Fault = Encl_fault.Fault
+module Cli = Encl_cli.Cli
 open Cmdliner
 
 let run scenario backend seed rate budget requests conns threshold =
-  let rt, r =
+  let r =
     match scenario with
     | `Http ->
         Scenarios.chaos_http backend ~seed:(Int64.of_int seed) ~rate ~budget
-          ~requests ~conns ()
+          ?requests ~conns ()
     | `Wiki ->
         Scenarios.chaos_wiki backend ~seed:(Int64.of_int seed) ~rate ~budget
-          ~requests ~conns ()
+          ?requests ~conns ()
   in
   let name = match scenario with `Http -> "http" | `Wiki -> "wiki" in
   Printf.printf "chaos %s backend=%s seed=%d rate=%.2f budget=%d\n" name
@@ -41,7 +42,7 @@ let run scenario backend seed rate budget requests conns threshold =
   (* The server must have stayed up: faults are contained, so with any
      fault activity the driver still gets the bulk of its responses. *)
   if r.Scenarios.c_served = 0 then fail "server served nothing";
-  (match Runtime.lb rt with
+  (match Runtime.lb r.Scenarios.c_rt with
   | Some lb
     when r.Scenarios.c_faults <> Lb.fault_count lb ->
       fail "fault accounting diverged"
@@ -65,20 +66,6 @@ let points () =
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
-let backend_arg =
-  let parse = function
-    | "baseline" -> Ok None
-    | "mpk" -> Ok (Some Lb.Mpk)
-    | "vtx" -> Ok (Some Lb.Vtx)
-    | "lwc" -> Ok (Some Lb.Lwc)
-    | s -> Error (`Msg ("unknown backend " ^ s))
-  in
-  let print ppf c = Format.pp_print_string ppf (Scenarios.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Some Lb.Mpk)
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"baseline, mpk, vtx or lwc.")
-
 let seed_arg =
   Arg.(
     value & opt int 42
@@ -95,11 +82,6 @@ let budget_arg =
     & info [ "budget" ]
         ~docv:"N" ~doc:"Enclosure fault budget before quarantine.")
 
-let requests_arg ~default =
-  Arg.(
-    value & opt int default
-    & info [ "requests" ] ~docv:"N" ~doc:"Client request attempts.")
-
 let conns_arg ~default =
   Arg.(
     value & opt int default
@@ -111,13 +93,12 @@ let threshold_arg =
     & info [ "threshold" ] ~docv:"A"
         ~doc:"Minimum served/sent ratio for exit status 0.")
 
-let scenario_cmd name scenario ~rate ~requests ~conns ~doc =
+let scenario_cmd name scenario ~rate ~conns ~doc =
   Cmd.v (Cmd.info name ~doc)
     Term.(
       const (run scenario)
-      $ backend_arg $ seed_arg $ rate_arg ~default:rate $ budget_arg
-      $ requests_arg ~default:requests $ conns_arg ~default:conns
-      $ threshold_arg)
+      $ Cli.backend $ seed_arg $ rate_arg ~default:rate $ budget_arg
+      $ Cli.requests $ conns_arg ~default:conns $ threshold_arg)
 
 let points_cmd =
   Cmd.v
@@ -133,11 +114,11 @@ let () =
     (Cmd.eval'
        (Cmd.group info
           [
-            scenario_cmd "http" `Http ~rate:0.10 ~requests:500 ~conns:8
+            scenario_cmd "http" `Http ~rate:0.10 ~conns:8
               ~doc:
                 "Spurious page faults in the HTTP handler enclosure; checks \
                  per-connection containment and quarantine.";
-            scenario_cmd "wiki" `Wiki ~rate:0.05 ~requests:400 ~conns:4
+            scenario_cmd "wiki" `Wiki ~rate:0.05 ~conns:4
               ~doc:
                 "Network chaos (drops, short reads/writes, transient errnos) \
                  over the wiki; checks retries and pq reconnect.";

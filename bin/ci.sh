@@ -102,6 +102,19 @@ dune exec bin/trace_dump.exe -- validate "$tmp/attacks.json"
 dune exec bin/attacks.exe -- prove-defenses
 dune exec bin/trace_dump.exe -- attacks > /dev/null
 
+stage "tool arguments (shared backend spelling)"
+# Every tool parses --backend through lib/cli: an unknown backend is
+# a command-line error with a message, never a silent run under some
+# default backend.
+status=0
+dune exec bin/minigo_run.exe -- --backend bogus examples/minigo/*.mg \
+  > /dev/null 2> "$tmp/bogus_backend.err" || status=$?
+if [ "$status" = 0 ] || ! grep -q "unknown backend" "$tmp/bogus_backend.err"; then
+  echo "ci: minigo_run --backend bogus exited $status, want non-zero with a message" >&2
+  cat "$tmp/bogus_backend.err" >&2
+  exit 1
+fi
+
 stage "sysring differential (enforcement on/off diff)"
 # Batching may change what a run costs, never what enforcement decides:
 # the timing-free enforcement report must be byte-identical with the
@@ -290,6 +303,9 @@ if [ "$quick" = 0 ]; then
     exit 1
   fi
   dune exec bin/chaos.exe -- wiki --seed 42
+  # Every tool takes the same backend spellings: the SFI backend must
+  # keep the HTTP server available too.
+  dune exec bin/chaos.exe -- http --backend sfi --seed 42
 else
   echo "ci: --quick: skipping profile, overhead, fastpath, sysring-speedup, and chaos smokes"
 fi

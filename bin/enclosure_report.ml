@@ -5,7 +5,7 @@
    Usage:
      dune exec bin/enclosure_report.exe -- graph wiki
      dune exec bin/enclosure_report.exe -- views bild
-     dune exec bin/enclosure_report.exe -- clusters fasthttp --backend mpk
+     dune exec bin/enclosure_report.exe -- clusters fasthttp --backend sfi
      dune exec bin/enclosure_report.exe -- layout figure1
      dune exec bin/enclosure_report.exe -- verif wiki *)
 
@@ -16,6 +16,7 @@ module Cluster = Encl_litterbox.Cluster
 module Image = Encl_elf.Image
 module Objfile = Encl_elf.Objfile
 module Graph = Encl_pkg.Graph
+module Cli = Encl_cli.Cli
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -87,16 +88,16 @@ let programs =
     ("wiki", wiki_packages);
   ]
 
-let boot name backend =
+let boot name config =
   match List.assoc_opt name programs with
   | None ->
       Error
         (Printf.sprintf "unknown program %s (try: %s)" name
            (String.concat ", " (List.map fst programs)))
-  | Some mk -> (
-      match Runtime.boot (Runtime.with_backend backend) ~packages:(mk ()) ~entry:"main" with
-      | Ok rt -> Ok rt
-      | Error e -> Error e)
+  | Some mk ->
+      Runtime.boot
+        (Encl_apps.Scenarios.runtime_config config)
+        ~packages:(mk ()) ~entry:"main"
 
 (* ------------------------------------------------------------------ *)
 (* Commands *)
@@ -108,11 +109,11 @@ let or_die = function
       exit 1
 
 let graph_cmd name =
-  let rt = or_die (boot name Lb.Mpk) in
+  let rt = or_die (boot name (Some Lb.Mpk)) in
   print_string (Graph.to_dot (Runtime.image rt).Image.graph)
 
 let views_cmd name =
-  let rt = or_die (boot name Lb.Mpk) in
+  let rt = or_die (boot name (Some Lb.Mpk)) in
   let lb = Option.get (Runtime.lb rt) in
   List.iter
     (fun enc ->
@@ -120,17 +121,18 @@ let views_cmd name =
         (Option.get (Lb.view_of lb enc)))
     (Lb.enclosure_names lb)
 
-let clusters_cmd name backend =
-  let rt = or_die (boot name backend) in
-  let lb = Option.get (Runtime.lb rt) in
-  Format.printf "%a@." Cluster.pp (Lb.cluster lb)
+let clusters_cmd name config =
+  let rt = or_die (boot name config) in
+  match Runtime.lb rt with
+  | Some lb -> Format.printf "%a@." Cluster.pp (Lb.cluster lb)
+  | None -> or_die (Error "the baseline runs without LitterBox: no clustering")
 
 let layout_cmd name =
-  let rt = or_die (boot name Lb.Mpk) in
+  let rt = or_die (boot name (Some Lb.Mpk)) in
   Format.printf "%a@." Image.pp_layout (Runtime.image rt)
 
 let verif_cmd name =
-  let rt = or_die (boot name Lb.Mpk) in
+  let rt = or_die (boot name (Some Lb.Mpk)) in
   let image = Runtime.image rt in
   List.iter
     (fun (v : Image.verif_entry) ->
@@ -146,18 +148,6 @@ let program_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
-let backend_arg =
-  let parse = function
-    | "mpk" -> Ok Lb.Mpk
-    | "vtx" -> Ok Lb.Vtx
-    | s -> Error (`Msg ("unknown backend " ^ s))
-  in
-  let print ppf b = Format.pp_print_string ppf (Lb.backend_name b) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Lb.Mpk
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"mpk or vtx.")
-
 let make_cmd name doc f =
   Cmd.v (Cmd.info name ~doc) Term.(const f $ program_arg)
 
@@ -167,7 +157,7 @@ let cmds =
     make_cmd "views" "Print every enclosure's computed memory view." views_cmd;
     Cmd.v
       (Cmd.info "clusters" ~doc:"Print the meta-package clustering.")
-      Term.(const (fun n b -> clusters_cmd n b) $ program_arg $ backend_arg);
+      Term.(const clusters_cmd $ program_arg $ Cli.backend);
     make_cmd "layout" "Print the linked executable layout (Figure 4)." layout_cmd;
     make_cmd "verif" "Print the verified LitterBox call-site list." verif_cmd;
   ]

@@ -25,33 +25,29 @@ module Scenarios = Encl_apps.Scenarios
 module Obs = Encl_obs.Obs
 module Witness = Encl_obs.Witness
 module Json = Encl_obs.Export.Json
+module Cli = Encl_cli.Cli
 open Cmdliner
 
-let mineable = List.filter (fun n -> n <> "bild") Scenarios.scenario_names
+let mineable =
+  List.filter (fun (e : Scenarios.entry) -> e.name <> "bild") Scenarios.registry
 
 (* ------------------------------------------------------------------ *)
 (* Scenario runs *)
 
-(* One run of [name] under [backend]. [witnessed] turns the event sink
+(* One run of [scenario] under [backend]. [witnessed] turns the event sink
    and the witness recorder on (mining); verification re-runs enforce
    only, so they skip the recording. Returns the runtime even when the
    workload died mid-run — the probe runs are expected to. *)
 type outcome = {
   rt : Runtime.t option;  (** None: the run failed before boot finished *)
-  failure : string option;  (** exception or scenario error, if any *)
+  failure : string option;  (** the exception the run raised, if any *)
 }
 
-let run_scenario ?(witnessed = false) name backend requests =
-  Obs.default_enabled := witnessed;
-  Witness.default_enabled := witnessed;
-  let restore () =
-    Obs.default_enabled := false;
-    Witness.default_enabled := false
-  in
-  Fun.protect ~finally:restore @@ fun () ->
-  match Scenarios.run_named name (Some backend) ?requests () with
-  | Ok (rt, _line) -> { rt = Some rt; failure = None }
-  | Error e -> { rt = None; failure = Some e }
+let run_scenario ?(witnessed = false) (scenario : Scenarios.entry) backend
+    requests =
+  Cli.with_tracing ~obs:witnessed ~witness:witnessed @@ fun () ->
+  match scenario.run (Some backend) ?requests () with
+  | o -> { rt = Some o.Scenarios.rt; failure = None }
   | exception e -> { rt = None; failure = Some (Printexc.to_string e) }
 
 let fault_count = function
@@ -77,8 +73,9 @@ let check_ring rt =
   else Ok ()
 
 (* Mine one backend's run: per-enclosure literals, each validated. *)
-let mine_one name backend requests =
-  match run_scenario ~witnessed:true name backend requests with
+let mine_one (scenario : Scenarios.entry) backend requests =
+  let name = scenario.name in
+  match run_scenario ~witnessed:true scenario backend requests with
   | { failure = Some e; _ } ->
       Error (Printf.sprintf "%s under %s: %s" name (Lb.backend_name backend) e)
   | { rt = None; _ } -> Error (name ^ ": scenario returned no runtime")
@@ -107,9 +104,9 @@ let mine_one name backend requests =
 (* Mine across [backends] and require the mined policies to agree: the
    capability a package needs is a property of the program, not of the
    isolation mechanism enforcing it. *)
-let mine_agreed name backends requests =
+let mine_agreed scenario backends requests =
   let results =
-    List.map (fun b -> (b, mine_one name b requests)) backends
+    List.map (fun b -> (b, mine_one scenario b requests)) backends
   in
   match List.find_opt (fun (_, r) -> Result.is_error r) results with
   | Some (b, Error e) ->
@@ -160,19 +157,6 @@ let snapshot_string name mined =
                 mined) );
        ])
 
-(* An unwritable output path ends the run with a message and exit
-   status 1, not an uncaught exception. *)
-let write_file path contents =
-  match
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc contents;
-        output_char oc '\n')
-  with
-  | () -> ()
-  | exception Sys_error e ->
-      prerr_endline ("policyminer: cannot write " ^ e);
-      exit 1
-
 let read_snapshot path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
@@ -199,8 +183,9 @@ let report_witness lb =
     denied
     (List.length (Witness.scope_names w))
 
-let mine name backends requests write =
-  match mine_agreed name backends requests with
+let mine (scenario : Scenarios.entry) backends requests write =
+  let name = scenario.name in
+  match mine_agreed scenario backends requests with
   | Error e ->
       prerr_endline ("policyminer: " ^ e);
       1
@@ -216,7 +201,8 @@ let mine name backends requests write =
       report_witness lb;
       (match write with
       | Some path ->
-          write_file path (snapshot_string name mined);
+          Cli.write_file ~tool:"policyminer" path
+            (snapshot_string name mined ^ "\n");
           Printf.printf "snapshot -> %s\n" path
       | None -> ());
       0
@@ -228,8 +214,8 @@ let with_overrides assoc f =
   List.iter (fun (enc, lit) -> Lb.set_policy_override ~enclosure:enc lit) assoc;
   Fun.protect ~finally:Lb.clear_policy_overrides f
 
-let verify_backend name backend requests =
-  match mine_one name backend requests with
+let verify_backend scenario backend requests =
+  match mine_one scenario backend requests with
   | Error e -> [ Printf.sprintf "[%s] %s" (Lb.backend_name backend) e ]
   | Ok (_, mined) ->
       let literals =
@@ -240,7 +226,8 @@ let verify_backend name backend requests =
          run — no faults, no workload failure. *)
       let soundness =
         let outcome =
-          with_overrides literals (fun () -> run_scenario name backend requests)
+          with_overrides literals (fun () ->
+              run_scenario scenario backend requests)
         in
         match (outcome.failure, fault_count outcome) with
         | None, 0 ->
@@ -264,7 +251,7 @@ let verify_backend name backend requests =
                 in
                 let outcome =
                   with_overrides probe (fun () ->
-                      run_scenario name backend requests)
+                      run_scenario scenario backend requests)
                 in
                 if outcome.failure <> None || fault_count outcome > 0 then begin
                   Printf.printf "  [%s] minimal: %s %s => faults\n" bname
@@ -282,11 +269,14 @@ let verify_backend name backend requests =
       in
       soundness @ minimality
 
-let verify name backends requests =
-  let problems = List.concat_map (fun b -> verify_backend name b requests) backends in
+let verify (scenario : Scenarios.entry) backends requests =
+  let problems =
+    List.concat_map (fun b -> verify_backend scenario b requests) backends
+  in
   match problems with
   | [] ->
-      Printf.printf "%s: mined policy sound and minimal under %s\n" name
+      Printf.printf "%s: mined policy sound and minimal under %s\n"
+        scenario.name
         (String.concat ", " (List.map Lb.backend_name backends));
       0
   | ps ->
@@ -296,19 +286,21 @@ let verify name backends requests =
 (* ------------------------------------------------------------------ *)
 (* drift *)
 
-let drift name backends requests snapshot write =
+let drift (scenario : Scenarios.entry) backends requests snapshot write =
+  let name = scenario.name in
   let path =
     match snapshot with
     | Some p -> p
     | None -> Filename.concat "bench/policies" (name ^ ".json")
   in
-  match mine_agreed name backends requests with
+  match mine_agreed scenario backends requests with
   | Error e ->
       prerr_endline ("policyminer: " ^ e);
       1
   | Ok (_, mined) ->
       if write then begin
-        write_file path (snapshot_string name mined);
+        Cli.write_file ~tool:"policyminer" path
+          (snapshot_string name mined ^ "\n");
         Printf.printf "snapshot -> %s\n" path;
         0
       end
@@ -373,12 +365,8 @@ let drift name backends requests snapshot write =
 
 let overhead requests =
   let run witnessed =
-    Obs.default_enabled := witnessed;
-    Witness.default_enabled := witnessed;
-    let r = Scenarios.http (Some Lb.Mpk) ?requests () in
-    Obs.default_enabled := false;
-    Witness.default_enabled := false;
-    r.Scenarios.h_req_per_sec
+    Cli.with_tracing ~obs:witnessed ~witness:witnessed (fun () ->
+        (Scenarios.http (Some Lb.Mpk) ?requests ()).Scenarios.h_req_per_sec)
   in
   let off = run false in
   let on_ = run true in
@@ -395,43 +383,6 @@ let overhead requests =
 
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
-
-let backends_arg =
-  let parse = function
-    | "all" -> Ok Encl_litterbox.Backend.all
-    | s -> (
-        match Encl_litterbox.Backend.of_string s with
-        | Some b -> Ok [ b ]
-        | None -> Error (`Msg ("unknown backend " ^ s)))
-  in
-  let print ppf bs =
-    Format.pp_print_string ppf
-      (String.concat "," (List.map Lb.backend_name bs))
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Encl_litterbox.Backend.all
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"mpk, vtx, lwc, sfi or all.")
-
-let scenario_arg =
-  let parse s =
-    if List.mem s mineable then Ok s
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown scenario %s (choose from: %s)" s
-             (String.concat ", " mineable)))
-  in
-  Arg.(
-    required
-    & pos 0 (some (conv (parse, Format.pp_print_string))) None
-    & info [] ~docv:"SCENARIO")
-
-let requests_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "requests" ] ~docv:"N" ~doc:"Workload size (scenario default if absent).")
 
 let write_path_arg =
   Arg.(
@@ -458,7 +409,9 @@ let mine_cmd =
          "Run SCENARIO with the witness recorder on and print the minimal \
           policy literal per enclosure (validated, cross-backend agreed). \
           Fails if the event ring overflowed.")
-    Term.(const mine $ scenario_arg $ backends_arg $ requests_arg $ write_path_arg)
+    Term.(
+      const mine $ Cli.scenario mineable $ Cli.backends $ Cli.requests
+      $ write_path_arg)
 
 let verify_cmd =
   Cmd.v
@@ -466,7 +419,7 @@ let verify_cmd =
        ~doc:
          "Prove the mined policy sound (re-run enforcing it: zero faults) \
           and minimal (every one-rung narrowing faults).")
-    Term.(const verify $ scenario_arg $ backends_arg $ requests_arg)
+    Term.(const verify $ Cli.scenario mineable $ Cli.backends $ Cli.requests)
 
 let drift_cmd =
   Cmd.v
@@ -475,8 +428,8 @@ let drift_cmd =
          "Diff a fresh mine against the committed snapshot; fail on any \
           widening. --write regenerates the snapshot.")
     Term.(
-      const drift $ scenario_arg $ backends_arg $ requests_arg $ snapshot_arg
-      $ write_flag)
+      const drift $ Cli.scenario mineable $ Cli.backends $ Cli.requests
+      $ snapshot_arg $ write_flag)
 
 let overhead_cmd =
   Cmd.v
@@ -484,7 +437,7 @@ let overhead_cmd =
        ~doc:
          "Measure the witness recorder's simulated-time cost on the http \
           scenario (must stay under 10% req/s).")
-    Term.(const overhead $ requests_arg)
+    Term.(const overhead $ Cli.requests)
 
 let () =
   let info =

@@ -29,22 +29,19 @@ module Span = Encl_obs.Span
 module Attrib = Encl_obs.Attrib
 module Export = Encl_obs.Export
 module Gate = Encl_obs.Gate
+module Cli = Encl_cli.Cli
 open Cmdliner
 
-(* An unwritable output path (say, a missing --out-dir) ends the run
-   with a message and exit status 1, not an uncaught exception. *)
-let write_file path contents =
-  match
-    Out_channel.with_open_text path (fun oc -> output_string oc contents)
-  with
-  | () -> ()
-  | exception Sys_error e ->
-      prerr_endline ("profile: cannot write " ^ e);
-      exit 1
+(* The name in error messages: an unwritable output path ends the run
+   with "profile: cannot write ..." and exit status 1. *)
+let tool = "profile"
 
+(* Run a registry scenario with the event sink and span ledger on. *)
 let run_scenario name backend requests =
-  Obs.default_enabled := true;
-  Scenarios.run_named name backend ?requests ()
+  Result.map
+    (fun (e : Scenarios.entry) ->
+      Cli.with_tracing ~witness:false (fun () -> e.run backend ?requests ()))
+    (Scenarios.find name)
 
 (* Exit non-zero if any simulated nanosecond went missing: the ledger
    must account for exactly the elapsed clock. *)
@@ -73,11 +70,11 @@ let run name backend requests out_dir top =
   | Error e ->
       prerr_endline ("profile: " ^ e);
       1
-  | Ok (rt, result_line) -> (
+  | Ok { Scenarios.rt; summary; _ } -> (
       let obs = (Runtime.machine rt).Machine.obs in
       Printf.printf "%s under %s: %s\n" name
         (Scenarios.config_name backend)
-        result_line;
+        summary;
       print_string (Export.attrib_table ~top obs);
       (match Runtime.lb rt with
       | Some lb when Fastpath.enabled () ->
@@ -95,8 +92,8 @@ let run name backend requests out_dir top =
       let speedscope_path =
         Filename.concat out_dir "profile.speedscope.json"
       in
-      write_file folded_path (Export.flamegraph_folded obs);
-      write_file speedscope_path (Export.speedscope_json obs);
+      Cli.write_file ~tool folded_path (Export.flamegraph_folded obs);
+      Cli.write_file ~tool speedscope_path (Export.speedscope_json obs);
       let spans = Obs.spans obs in
       Printf.printf "%d spans (%d dropped from ring) -> %s, %s\n"
         (Span.total spans) (Span.dropped spans) folded_path speedscope_path;
@@ -154,10 +151,10 @@ let overhead scenario requests =
   let run_one backend =
     match run_scenario scenario (Some backend) requests with
     | Error e -> Error e
-    | Ok (rt, result_line) ->
+    | Ok { Scenarios.rt; summary; _ } ->
         let obs = (Runtime.machine rt).Machine.obs in
         let name = Scenarios.config_name (Some backend) in
-        Printf.printf "%s under %s: %s\n" scenario name result_line;
+        Printf.printf "%s under %s: %s\n" scenario name summary;
         Ok (breakdown_of name obs)
   in
   match (run_one Lb.Mpk, run_one Lb.Vtx) with
@@ -228,7 +225,7 @@ let fastpath scenario requests =
     Fastpath.with_flag flag @@ fun () ->
     match run_scenario scenario (Some backend) requests with
     | Error e -> Error e
-    | Ok (rt, _) ->
+    | Ok { Scenarios.rt; _ } ->
         let obs = (Runtime.machine rt).Machine.obs in
         let name = Scenarios.config_name (Some backend) in
         let lb = Option.get (Runtime.lb rt) in
@@ -324,22 +321,17 @@ type ring_run = {
 
 let sysring_run scenario config requests flag =
   Sysring.with_flag flag @@ fun () ->
-  let run =
-    match scenario with
-    | "http" -> Ok (Scenarios.http_rt config ?requests ())
-    | "fasthttp" -> Ok (Scenarios.fasthttp_rt config ?requests ())
-    | "wiki" -> Ok (Scenarios.wiki_rt config ?requests ())
-    | s -> Error ("sysring: unsupported scenario " ^ s)
-  in
-  match run with
-  | Error e -> Error e
-  | Ok (rt, r) ->
+  Result.bind (Scenarios.find scenario) @@ fun e ->
+  let { Scenarios.rt; req_per_sec; _ } = e.run config ?requests () in
+  match req_per_sec with
+  | None -> Error (scenario ^ ": the scenario reports no req/s")
+  | Some rps ->
       let lb_count f = Option.fold ~none:0 ~some:f (Runtime.lb rt) in
       let kernel = (Runtime.machine rt).Machine.kernel in
       Ok
         {
           r_name = Scenarios.config_name config;
-          r_rps = r.Scenarios.h_req_per_sec;
+          r_rps = rps;
           r_vmexits = lb_count Lb.vmexit_count;
           r_syscalls = workload_syscalls kernel;
           r_faults = lb_count Lb.fault_count;
@@ -411,13 +403,8 @@ let fairness_scenarios = [ "http"; "fasthttp"; "wiki"; "zerocopy_http" ]
 
 let fair_baseline requests =
   let rps scenario config =
-    match scenario with
-    | "http" -> (Scenarios.http config ?requests ()).Scenarios.h_req_per_sec
-    | "fasthttp" ->
-        (Scenarios.fasthttp config ?requests ()).Scenarios.h_req_per_sec
-    | "wiki" -> (Scenarios.wiki config ?requests ()).Scenarios.h_req_per_sec
-    | _ ->
-        (Scenarios.zerocopy_http config ?requests ()).Scenarios.z_req_per_sec
+    let e = Result.get_ok (Scenarios.find scenario) in
+    Option.get (e.run config ?requests ()).Scenarios.req_per_sec
   in
   List.concat_map
     (fun scenario ->
@@ -490,7 +477,8 @@ type zc_run = {
 
 let zerocopy_run backend requests flag =
   Zerocopy.with_flag flag @@ fun () ->
-  let rt, r = Scenarios.zerocopy_http_rt backend ?requests () in
+  let r = Scenarios.zerocopy_http backend ?requests () in
+  let rt = r.Scenarios.z_rt in
   let kernel = (Runtime.machine rt).Machine.kernel in
   let faults =
     match Runtime.lb rt with None -> 0 | Some lb -> Lb.fault_count lb
@@ -591,7 +579,7 @@ type xover_run = {
 let crossover_run scenario backend requests =
   match run_scenario scenario (Some backend) requests with
   | Error e -> Error e
-  | Ok (rt, _) ->
+  | Ok { Scenarios.rt; _ } ->
       let m = Runtime.machine rt in
       let clock = m.Machine.clock in
       let lb = Option.get (Runtime.lb rt) in
@@ -720,7 +708,7 @@ let smp backend requests min_speedup out =
           ])
       runs
   in
-  write_file out
+  Cli.write_file ~tool out
     (Json.to_string
        (Json.Obj
           [
@@ -814,7 +802,7 @@ let write_baseline baseline_path results_path =
             (Printf.sprintf "profile: results (%s): %s" results_path e);
           1
       | Ok doc ->
-          write_file baseline_path contents;
+          Cli.write_file ~tool baseline_path contents;
           Printf.printf "gate: wrote %s (%d rows, quick=%b) from %s\n"
             baseline_path
             (List.length doc.Gate.rows)
@@ -838,36 +826,9 @@ let gate baseline_path results_path write =
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
-let backend_arg =
-  let parse = function
-    | "baseline" -> Ok None
-    | s -> (
-        match Encl_litterbox.Backend.of_string s with
-        | Some b -> Ok (Some b)
-        | None -> Error (`Msg ("unknown backend " ^ s)))
-  in
-  let print ppf c = Format.pp_print_string ppf (Scenarios.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Some Lb.Mpk)
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:"baseline, mpk, vtx, lwc or sfi.")
-
-let requests_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "requests" ] ~docv:"N"
-        ~doc:"Request count for the HTTP-style scenarios.")
-
 let out_dir_arg =
-  Arg.(
-    value
-    & opt string "."
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:
-          "Directory receiving flamegraph.folded and \
-           profile.speedscope.json.")
+  Cli.out_dir ~default:"."
+    ~doc:"Directory receiving flamegraph.folded and profile.speedscope.json."
 
 let top_arg =
   Arg.(
@@ -880,7 +841,7 @@ let scenario_cmd sc =
   Cmd.v
     (Cmd.info sc
        ~doc:("Profile the " ^ sc ^ " scenario: attribution table + stacks."))
-    Term.(const (run sc) $ backend_arg $ requests_arg $ out_dir_arg $ top_arg)
+    Term.(const (run sc) $ Cli.backend $ Cli.requests $ out_dir_arg $ top_arg)
 
 let overhead_cmd =
   let scenario_arg =
@@ -894,7 +855,7 @@ let overhead_cmd =
        ~doc:
          "Compare the MPK and VT-x switch shares of one workload's wall \
           time against the paper's Table 1 ordering.")
-    Term.(const overhead $ scenario_arg $ requests_arg)
+    Term.(const overhead $ scenario_arg $ Cli.requests)
 
 let fastpath_cmd =
   let scenario_arg =
@@ -909,7 +870,7 @@ let fastpath_cmd =
          "Run one workload with the fast path on and off, on both MPK and \
           VT-x; exit 1 unless the switch+seccomp share is strictly smaller \
           with the fast path on (enforcement outcomes identical).")
-    Term.(const fastpath $ scenario_arg $ requests_arg)
+    Term.(const fastpath $ scenario_arg $ Cli.requests)
 
 let sysring_cmd =
   let scenario_arg =
@@ -917,7 +878,7 @@ let sysring_cmd =
       value
       & opt string "http"
       & info [ "scenario" ] ~docv:"NAME"
-          ~doc:"Scenario to compare on (http, fasthttp or wiki).")
+          ~doc:"Scenario to compare on (one that reports req/s).")
   in
   Cmd.v
     (Cmd.info "sysring"
@@ -928,7 +889,7 @@ let sysring_cmd =
           at equal kernel syscall and fault counts, or unless the Baseline \
           out-serves every backend on http, fasthttp, wiki and \
           zerocopy_http under the shipped flags.")
-    Term.(const sysring $ scenario_arg $ requests_arg)
+    Term.(const sysring $ scenario_arg $ Cli.requests)
 
 let zerocopy_cmd =
   Cmd.v
@@ -938,7 +899,7 @@ let zerocopy_cmd =
           exit 1 unless the flag buys >= 10% req/s with strictly fewer \
           ledger bytes copied at identical kernel-syscall, fault and \
           rx-ring descriptor counts.")
-    Term.(const zerocopy $ requests_arg)
+    Term.(const zerocopy $ Cli.requests)
 
 let crossover_cmd =
   let switch_arg =
@@ -962,7 +923,7 @@ let crossover_cmd =
           than VTX on the switch-heavy scenario, strictly more \
           access-category cycles than MPK on the access-heavy one, at \
           identical fault and workload-syscall counts.")
-    Term.(const crossover $ switch_arg $ access_arg $ requests_arg)
+    Term.(const crossover $ switch_arg $ access_arg $ Cli.requests)
 
 let smp_cmd =
   let min_speedup_arg =
@@ -986,7 +947,7 @@ let smp_cmd =
           the 4-core run serves >= 2.5x the 1-core req/s (makespan) at \
           identical fault and workload-syscall counts. Writes the scaling \
           curve to SMP_scaling.json.")
-    Term.(const smp $ backend_arg $ requests_arg $ min_speedup_arg $ out_arg)
+    Term.(const smp $ Cli.backend $ Cli.requests $ min_speedup_arg $ out_arg)
 
 let gate_cmd =
   let baseline_arg =
@@ -1024,7 +985,9 @@ let () =
       ~doc:"Attribute every simulated nanosecond to (enclosure x category)"
   in
   let cmds =
-    List.map scenario_cmd Scenarios.scenario_names
+    List.map
+      (fun (e : Scenarios.entry) -> scenario_cmd e.name)
+      Scenarios.registry
     @ [
         overhead_cmd; fastpath_cmd; sysring_cmd; zerocopy_cmd; crossover_cmd;
         smp_cmd; gate_cmd;

@@ -20,21 +20,12 @@ module Scenarios = Encl_apps.Scenarios
 module Obs = Encl_obs.Obs
 module Metrics = Encl_obs.Metrics
 module Export = Encl_obs.Export
+module Cli = Encl_cli.Cli
 open Cmdliner
 
-(* An unwritable output path (say, a regular file or an uncreatable
-   directory as --out-dir) ends the run with a message and exit status
-   1, not an uncaught exception. *)
-let cannot_write e =
-  prerr_endline ("trace-dump: cannot write " ^ e);
-  exit 1
-
-let write_file path contents =
-  match
-    Out_channel.with_open_text path (fun oc -> output_string oc contents)
-  with
-  | () -> ()
-  | exception Sys_error e -> cannot_write e
+(* The name in error messages: an unwritable output path ends the run
+   with "trace-dump: cannot write ..." and exit status 1. *)
+let tool = "trace-dump"
 
 (* The acceptance invariant: the sink's cross-scope totals must agree
    exactly with LitterBox's own counters, the syscall ring must balance
@@ -215,78 +206,69 @@ let per_core_conservation ~cores:machine_cores contents =
               | _ -> ()))));
   List.rev !problems
 
-let run name backend requests out_dir summary =
-  Obs.default_enabled := true;
-  Encl_obs.Witness.default_enabled := true;
-  match Scenarios.run_named name backend ?requests () with
-  | Error e ->
-      prerr_endline ("trace-dump: " ^ e);
-      1
-  | Ok (rt, result_line) -> (
-      let obs = (Runtime.machine rt).Machine.obs in
-      let rec mkdir_p dir =
-        if not (Sys.file_exists dir) then begin
-          mkdir_p (Filename.dirname dir);
-          Sys.mkdir dir 0o755
-        end
-      in
-      (try mkdir_p out_dir with Sys_error e -> cannot_write e);
-      let trace_path = Filename.concat out_dir "trace.json" in
-      let metrics_path = Filename.concat out_dir "metrics.json" in
-      let witness_path = Filename.concat out_dir "witness.json" in
-      write_file trace_path (Export.trace_json obs);
-      write_file metrics_path (Export.metrics_json obs);
-      write_file witness_path (Export.witness_json obs);
-      Printf.printf "%s under %s: %s\n" name
-        (Scenarios.config_name backend)
-        result_line;
-      Printf.printf "%d events (%d dropped) -> %s, %s, %s\n"
-        (Obs.total_events obs) (Obs.dropped_events obs) trace_path metrics_path
-        witness_path;
-      (* A lossy trace is a blind spot, not a footnote: every consumer of
-         these artifacts (the CI cross-checks, the miner, a human in
-         Perfetto) must be able to trust that what is absent did not
-         happen. Overflow is a hard failure — size the ring up or shrink
-         the workload. *)
-      if Obs.dropped_events obs > 0 then begin
-        Printf.eprintf
-          "trace-dump: event ring overflowed, %d of %d events evicted — the \
-           trace is truncated (metric totals remain exact); raise the ring \
-           capacity or shrink the workload\n"
-          (Obs.dropped_events obs)
-          (Obs.total_events obs);
-        exit 1
-      end;
-      (match
-         per_core_conservation
-           ~cores:(Runtime.machine rt).Machine.cores
-           (In_channel.with_open_bin metrics_path In_channel.input_all)
-       with
-      | [] -> ()
+let run (scenario : Scenarios.entry) backend requests out_dir summary =
+  let { Scenarios.rt; summary = result_line; _ } =
+    Cli.with_tracing (fun () -> scenario.run backend ?requests ())
+  in
+  let name = scenario.name in
+  let obs = (Runtime.machine rt).Machine.obs in
+  Cli.ensure_dir ~tool out_dir;
+  let trace_path = Filename.concat out_dir "trace.json" in
+  let metrics_path = Filename.concat out_dir "metrics.json" in
+  let witness_path = Filename.concat out_dir "witness.json" in
+  Cli.write_file ~tool trace_path (Export.trace_json obs);
+  Cli.write_file ~tool metrics_path (Export.metrics_json obs);
+  Cli.write_file ~tool witness_path (Export.witness_json obs);
+  Printf.printf "%s under %s: %s\n" name
+    (Scenarios.config_name backend)
+    result_line;
+  Printf.printf "%d events (%d dropped) -> %s, %s, %s\n"
+    (Obs.total_events obs) (Obs.dropped_events obs) trace_path metrics_path
+    witness_path;
+  (* A lossy trace is a blind spot, not a footnote: every consumer of
+     these artifacts (the CI cross-checks, the miner, a human in
+     Perfetto) must be able to trust that what is absent did not
+     happen. Overflow is a hard failure — size the ring up or shrink
+     the workload. *)
+  if Obs.dropped_events obs > 0 then begin
+    Printf.eprintf
+      "trace-dump: event ring overflowed, %d of %d events evicted — the \
+       trace is truncated (metric totals remain exact); raise the ring \
+       capacity or shrink the workload\n"
+      (Obs.dropped_events obs)
+      (Obs.total_events obs);
+    exit 1
+  end;
+  (match
+     per_core_conservation
+       ~cores:(Runtime.machine rt).Machine.cores
+       (In_channel.with_open_bin metrics_path In_channel.input_all)
+   with
+  | [] -> ()
+  | problems ->
+      List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
+      exit 1);
+  if summary then print_string (Export.summary obs);
+  match Runtime.lb rt with
+  | None -> 0
+  | Some lb -> (
+      match cross_check lb (Runtime.machine rt) obs with
+      | [] ->
+          Printf.printf
+            "counters reconcile: switches=%d (%d elided) transfers=%d \
+             (%d coalesced) faults=%d ring=%d/%d in %d batches\n"
+            (Lb.switch_count lb)
+            (Lb.switch_elided_count lb)
+            (Lb.transfer_count lb)
+            (Lb.transfer_coalesced_count lb)
+            (Lb.fault_count lb)
+            (Lb.ring_drained_count lb)
+            (K.ring_submitted_count (Runtime.machine rt).Machine.kernel)
+            (Lb.ring_batches_count lb);
+          0
       | problems ->
           List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
-          exit 1);
-      if summary then print_string (Export.summary obs);
-      match Runtime.lb rt with
-      | None -> 0
-      | Some lb -> (
-          match cross_check lb (Runtime.machine rt) obs with
-          | [] ->
-              Printf.printf
-                "counters reconcile: switches=%d (%d elided) transfers=%d \
-                 (%d coalesced) faults=%d ring=%d/%d in %d batches\n"
-                (Lb.switch_count lb)
-                (Lb.switch_elided_count lb)
-                (Lb.transfer_count lb)
-                (Lb.transfer_coalesced_count lb)
-                (Lb.fault_count lb)
-                (Lb.ring_drained_count lb)
-                (K.ring_submitted_count (Runtime.machine rt).Machine.kernel)
-                (Lb.ring_batches_count lb);
-              0
-          | problems ->
-              List.iter (fun p -> prerr_endline ("trace-dump: " ^ p)) problems;
-              1))
+          1)
 
 let validate path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -402,8 +384,8 @@ let workload_trace kernel =
     (fun (nr, _) -> Sysno.category nr <> Sysno.Cat_mem)
     (K.trace kernel)
 
-let enforcement_scenario name run =
-  let rt, (r : Scenarios.http_result) = run () in
+let enforcement_scenario name (r : Scenarios.http_result) =
+  let rt = r.h_rt in
   let lb = Option.get (Runtime.lb rt) in
   let kernel = (Runtime.machine rt).Machine.kernel in
   let trace = workload_trace kernel in
@@ -422,8 +404,8 @@ let enforcement_scenario name run =
    the output across each flag), so bytes_copied — the one quantity the
    Zerocopy flag is allowed to move — is deliberately absent. The rx
    ring's descriptor counters are pure enforcement state and appear. *)
-let enforcement_zc name run =
-  let rt, (r : Scenarios.zc_result) = run () in
+let enforcement_zc name (r : Scenarios.zc_result) =
+  let rt = r.z_rt in
   let kernel = (Runtime.machine rt).Machine.kernel in
   let faults =
     match Runtime.lb rt with None -> 0 | Some lb -> Lb.fault_count lb
@@ -502,12 +484,12 @@ let enforcement () =
   List.iter
     (fun backend ->
       let bname = Lb.backend_name backend in
-      enforcement_scenario ("http/" ^ bname) (fun () ->
-          Scenarios.http_rt (Some backend) ~requests:120 ());
-      enforcement_scenario ("fasthttp/" ^ bname) (fun () ->
-          Scenarios.fasthttp_rt (Some backend) ~requests:120 ());
-      enforcement_zc ("zerocopy_http/" ^ bname) (fun () ->
-          Scenarios.zerocopy_http_rt (Some backend) ~requests:120 ()))
+      enforcement_scenario ("http/" ^ bname)
+        (Scenarios.http (Some backend) ~requests:120 ());
+      enforcement_scenario ("fasthttp/" ^ bname)
+        (Scenarios.fasthttp (Some backend) ~requests:120 ());
+      enforcement_zc ("zerocopy_http/" ^ bname)
+        (Scenarios.zerocopy_http (Some backend) ~requests:120 ()))
     Encl_litterbox.Backend.all;
   Printf.printf "pylike localcopy enforcement\n";
   List.iter
@@ -527,7 +509,7 @@ let enforcement () =
 module Attack = Encl_attack.Attack
 
 let attacks_check () =
-  Obs.default_enabled := true;
+  Cli.with_tracing ~witness:false @@ fun () ->
   Attack.reset_counters ();
   let errors = ref [] in
   let obs_contained = ref 0 and obs_escaped = ref 0 in
@@ -628,37 +610,39 @@ let witness_scenario errors label lb kernel obs =
   Printf.printf "  %-12s witness=%d+%d obs=%d+%d kernel=%d guest_denied=%d\n"
     label w_allowed w_denied o_allowed o_denied kernel_count guest
 
+(* The scenarios cross-checked, at sizes whose event ring stays
+   lossless. *)
+let witnessed =
+  List.map
+    (fun (name, requests) -> (Result.get_ok (Scenarios.find name), requests))
+    [ ("http", 160); ("wiki", 120); ("pq", 80) ]
+
 let witness_check () =
-  Obs.default_enabled := true;
-  Witness.default_enabled := true;
   let errors = ref [] in
-  List.iter
-    (fun backend ->
+  Cli.with_tracing (fun () ->
       List.iter
-        (fun (name, requests) ->
-          let label =
-            Printf.sprintf "%s/%s" name
-              (Encl_litterbox.Backend.arg_name backend)
-          in
-          match Scenarios.run_named name (Some backend) ~requests () with
-          | Error e -> errors := (label ^ ": " ^ e) :: !errors
-          | Ok (rt, _) -> (
+        (fun backend ->
+          List.iter
+            (fun ((e : Scenarios.entry), requests) ->
+              let label =
+                Printf.sprintf "%s/%s" e.name
+                  (Encl_litterbox.Backend.arg_name backend)
+              in
+              let rt = (e.run (Some backend) ~requests ()).rt in
               match Runtime.lb rt with
               | None -> errors := (label ^ ": no litterbox") :: !errors
               | Some lb ->
                   let machine = Runtime.machine rt in
                   witness_scenario errors label lb machine.Machine.kernel
-                    machine.Machine.obs))
-        [ ("http", 160); ("wiki", 120); ("pq", 80) ])
-    Encl_litterbox.Backend.all;
-  Obs.default_enabled := false;
-  Witness.default_enabled := false;
+                    machine.Machine.obs)
+            witnessed)
+        Encl_litterbox.Backend.all);
   match List.rev !errors with
   | [] ->
       Printf.printf
         "witness reconciles with the obs counters and the kernel totals \
          across %d runs\n"
-        (3 * List.length Encl_litterbox.Backend.all);
+        (List.length witnessed * List.length Encl_litterbox.Backend.all);
       0
   | es ->
       List.iter (fun e -> Printf.printf "MISMATCH %s\n" e) es;
@@ -667,48 +651,23 @@ let witness_check () =
 (* ------------------------------------------------------------------ *)
 (* Cmdliner wiring *)
 
-let backend_arg =
-  let parse = function
-    | "baseline" -> Ok None
-    | s -> (
-        match Encl_litterbox.Backend.of_string s with
-        | Some b -> Ok (Some b)
-        | None -> Error (`Msg ("unknown backend " ^ s)))
-  in
-  let print ppf c = Format.pp_print_string ppf (Scenarios.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) (Some Lb.Mpk)
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:"baseline, mpk, vtx, lwc or sfi.")
-
-let requests_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "requests" ] ~docv:"N"
-        ~doc:"Request count for the HTTP-style scenarios.")
-
 let out_dir_arg =
   (* Default under _build so casual runs never litter the work tree with
      trace.json/metrics.json (they used to land in the repo root). *)
-  Arg.(
-    value
-    & opt string "_build/trace"
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:"Directory receiving trace.json and metrics.json (created if \
-              missing).")
+  Cli.out_dir ~default:"_build/trace"
+    ~doc:"Directory receiving trace.json and metrics.json (created if missing)."
 
 let summary_arg =
   Arg.(
     value & flag
     & info [ "s"; "summary" ] ~doc:"Also print the aligned-text summary.")
 
-let scenario_cmd sc =
+let scenario_cmd (e : Scenarios.entry) =
   Cmd.v
-    (Cmd.info sc ~doc:("Run the " ^ sc ^ " scenario and export its trace."))
+    (Cmd.info e.name
+       ~doc:("Run the " ^ e.name ^ " scenario and export its trace."))
     Term.(
-      const (run sc) $ backend_arg $ requests_arg $ out_dir_arg $ summary_arg)
+      const (run e) $ Cli.backend $ Cli.requests $ out_dir_arg $ summary_arg)
 
 let validate_cmd =
   let file_arg =
@@ -753,7 +712,7 @@ let () =
       ~doc:"Run a scenario and export its trace and metrics"
   in
   let cmds =
-    List.map scenario_cmd Scenarios.scenario_names
+    List.map scenario_cmd Scenarios.registry
     @ [ validate_cmd; enforcement_cmd; attacks_cmd; witness_cmd ]
   in
   exit (Cmd.eval' (Cmd.group info cmds))

@@ -31,9 +31,10 @@ type bild_result = {
   b_ns_per_invert : int;
   b_transfers : int;
   b_checksum : int;
+  b_rt : Runtime.t;
 }
 
-let bild_rt config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
+let bild config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
   let secrets =
     Runtime.package "secrets" ~functions:[ ("load_image", 256) ] ()
   in
@@ -83,15 +84,12 @@ let bild_rt config ?rcfg ?(width = 1024) ?(height = 1024) ?(iters = 3) () =
     (match Runtime.lb rt with Some lb -> Lb.transfer_count lb | None -> 0)
     - transfers0
   in
-  ( rt,
-    {
-      b_ns_per_invert = elapsed / iters;
-      b_transfers = transfers / max 1 iters;
-      b_checksum = !checksum;
-    } )
-
-let bild config ?rcfg ?width ?height ?iters () =
-  snd (bild_rt config ?rcfg ?width ?height ?iters ())
+  {
+    b_ns_per_invert = elapsed / iters;
+    b_transfers = transfers / max 1 iters;
+    b_checksum = !checksum;
+    b_rt = rt;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* HTTP servers                                                        *)
@@ -101,6 +99,7 @@ type http_result = {
   h_ns : int;
   h_req_per_sec : float;
   h_syscalls_per_req : float;
+  h_rt : Runtime.t;
 }
 
 let page_bytes = 13 * 1024
@@ -148,9 +147,10 @@ let drive rt ~port ~requests ~conns ~served =
     h_ns = elapsed;
     h_req_per_sec = float_of_int handled /. (float_of_int elapsed /. 1e9);
     h_syscalls_per_req = float_of_int syscalls /. float_of_int handled;
+    h_rt = rt;
   }
 
-let http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+let http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
     Runtime.package "main"
       ~imports:[ Httpd.pkg; "assets" ]
@@ -178,12 +178,9 @@ let http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
         page)
   in
   Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8080 ~handler);
-  (rt, drive rt ~port:8080 ~requests ~conns ~served:Httpd.requests_served)
+  drive rt ~port:8080 ~requests ~conns ~served:Httpd.requests_served
 
-let http config ?rcfg ?requests ?conns () =
-  snd (http_rt config ?rcfg ?requests ?conns ())
-
-let fasthttp_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+let fasthttp config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
     Runtime.package "main"
       ~imports:[ Fasthttp.pkg; "assets" ]
@@ -213,10 +210,7 @@ let fasthttp_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let enclosure = match config with None -> None | Some _ -> Some "fasthttp_srv" in
   Runtime.run_main rt (fun () ->
       Fasthttp.serve_enclosed rt ~port:8081 ~enclosure ~handler);
-  (rt, drive rt ~port:8081 ~requests ~conns ~served:Fasthttp.requests_served)
-
-let fasthttp config ?rcfg ?requests ?conns () =
-  snd (fasthttp_rt config ?rcfg ?requests ?conns ())
+  drive rt ~port:8081 ~requests ~conns ~served:Fasthttp.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* Wiki (Figure 5)                                                     *)
@@ -234,22 +228,19 @@ let wiki_boot ?rcfg config =
    fibers (and the proxy/glue goroutines) then spread over the shard by
    work stealing. Left unset, the config is byte-identical to the old
    single-core boot. *)
-let wiki_rt config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
+let wiki config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
   let rcfg =
     match cores with
     | None -> rcfg
     | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
   in
   let rt = wiki_boot ?rcfg config in
-  (rt, drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served)
-
-let wiki config ?rcfg ?cores ?requests ?conns () =
-  snd (wiki_rt config ?rcfg ?cores ?requests ?conns ())
+  drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served
 
 (* ------------------------------------------------------------------ *)
 (* pq: an enclosed database client                                     *)
 
-type pq_result = { p_queries : int; p_ns_per_query : int }
+type pq_result = { p_queries : int; p_ns_per_query : int; p_rt : Runtime.t }
 
 (* The database driver alone inside an enclosure: connect once, then a
    query loop against the mini-Postgres remote. The whole untrusted
@@ -258,7 +249,7 @@ type pq_result = { p_queries : int; p_ns_per_query : int }
    database address — which makes this the policy miner's third
    reference scenario (http mines memory, wiki mines two enclosures,
    pq mines a connect narrowing in isolation). *)
-let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
+let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   let rcfg =
     match cores with
     | None -> rcfg
@@ -330,10 +321,7 @@ let pq_rt config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   if !completed < queries then
     failwith (Printf.sprintf "pq: %d/%d queries completed" !completed queries);
   let elapsed = Clock.now clock - t0 in
-  (rt, { p_queries = !completed; p_ns_per_query = elapsed / max 1 queries })
-
-let pq config ?rcfg ?cores ?workers ?queries () =
-  snd (pq_rt config ?rcfg ?cores ?workers ?queries ())
+  { p_queries = !completed; p_ns_per_query = elapsed / max 1 queries; p_rt = rt }
 
 (* ------------------------------------------------------------------ *)
 (* zerocopy_http: the zero-copy data plane end to end                  *)
@@ -346,6 +334,7 @@ type zc_result = {
   z_ring_granted : int;
   z_ring_consumed : int;
   z_ring_reclaimed : int;
+  z_rt : Runtime.t;
 }
 
 let zc_static_path = "/srv/index.html"
@@ -364,7 +353,7 @@ let netring_package () =
    ENCL_ZEROCOPY off (the kernel bounce-copies internally), so the flag
    moves only time and the bytes_copied ledger — which is exactly what
    the profile gate and the CI enforcement byte-diff check. *)
-let zerocopy_http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
+let zerocopy_http config ?rcfg ?(requests = 2000) ?(conns = 8) () =
   let main =
     Runtime.package "main"
       ~imports:[ Fasthttp.pkg; Runtime.netring_pkg ]
@@ -408,19 +397,16 @@ let zerocopy_http_rt config ?rcfg ?(requests = 2000) ?(conns = 8) () =
     drive rt ~port:8082 ~requests ~conns ~served:Fasthttp.zc_requests_served
   in
   let granted, consumed, reclaimed = K.rxring_counters kernel in
-  ( rt,
-    {
-      z_requests = r.h_requests;
-      z_req_per_sec = r.h_req_per_sec;
-      z_syscalls_per_req = r.h_syscalls_per_req;
-      z_bytes_copied = K.bytes_copied_count kernel + m.Machine.bytes_copied;
-      z_ring_granted = granted;
-      z_ring_consumed = consumed;
-      z_ring_reclaimed = reclaimed;
-    } )
-
-let zerocopy_http config ?rcfg ?requests ?conns () =
-  snd (zerocopy_http_rt config ?rcfg ?requests ?conns ())
+  {
+    z_requests = r.h_requests;
+    z_req_per_sec = r.h_req_per_sec;
+    z_syscalls_per_req = r.h_syscalls_per_req;
+    z_bytes_copied = K.bytes_copied_count kernel + m.Machine.bytes_copied;
+    z_ring_granted = granted;
+    z_ring_consumed = consumed;
+    z_ring_reclaimed = reclaimed;
+    z_rt = rt;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: workloads under deterministic fault injection                *)
@@ -438,6 +424,7 @@ type chaos_result = {
   c_conns_failed : int;
   c_quarantined : bool;
   c_reconnects : int;
+  c_rt : Runtime.t;
 }
 
 (* A fault-tolerant client driver: every request counts as sent; a
@@ -508,6 +495,7 @@ let chaos_result rt ~sent ~served ~conns_failed ~enclosure ~reconnects =
       | Some lb, Some enc -> Lb.quarantined lb enc
       | _ -> false);
     c_reconnects = reconnects;
+    c_rt = rt;
   }
 
 let pp_chaos_result r =
@@ -568,9 +556,8 @@ let chaos_http config ?rcfg ?(seed = 42L) ?(rate = 0.10) ?(budget = 5)
   Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8080 ~handler);
   let sent, served = chaos_drive rt ~port:8080 ~requests ~conns in
   Fault.disarm_all inject;
-  ( rt,
-    chaos_result rt ~sent ~served ~conns_failed:(Httpd.connections_failed ())
-      ~enclosure:(Some "handler_enc") ~reconnects:0 )
+  chaos_result rt ~sent ~served ~conns_failed:(Httpd.connections_failed ())
+    ~enclosure:(Some "handler_enc") ~reconnects:0
 
 (* The wiki chaos scenario: network-level failures (dropped connections,
    short reads/writes, transient errnos) across the whole stack,
@@ -595,9 +582,8 @@ let chaos_wiki config ?rcfg ?(seed = 42L) ?(rate = 0.05) ?(budget = 5)
   | None -> ());
   let sent, served = chaos_drive rt ~port:8090 ~requests ~conns in
   Fault.disarm_all inject;
-  ( rt,
-    chaos_result rt ~sent ~served ~conns_failed:(Wiki.connections_failed ())
-      ~enclosure:None ~reconnects:(Pq.reconnect_count ()) )
+  chaos_result rt ~sent ~served ~conns_failed:(Wiki.connections_failed ())
+    ~enclosure:None ~reconnects:(Pq.reconnect_count ())
 
 (* ------------------------------------------------------------------ *)
 (* smp_http: the HTTP server sharded across simulated cores            *)
@@ -613,6 +599,7 @@ type smp_result = {
   s_switches : int;
   s_faults : int;
   s_syscalls : int;
+  s_rt : Runtime.t;
 }
 
 (* The http scenario with a per-request template-render cost and the
@@ -623,7 +610,7 @@ type smp_result = {
    scenario's Amdahl bound). The core count is pinned per call so
    benchmark rows never depend on the environment; the default follows
    [ENCL_CORES] for the CLI drivers. *)
-let smp_http_rt config ?cores ?(requests = 4096) ?(conns = 64)
+let smp_http config ?cores ?(requests = 4096) ?(conns = 64)
     ?(render_ns = 30_000) () =
   let cores =
     match cores with Some c -> c | None -> Runtime.default_cores ()
@@ -693,76 +680,115 @@ let smp_http_rt config ?cores ?(requests = 4096) ?(conns = 64)
       0
       (K.trace m.Machine.kernel)
   in
-  ( rt,
-    {
-      s_cores = cores;
-      s_requests = handled;
-      s_wall_ns = wall;
-      s_cpu_ns = Clock.now clock;
-      s_req_per_sec = float_of_int handled /. (float_of_int wall /. 1e9);
-      s_steals = Sched.steal_count sched;
-      s_affinity_hits = Sched.affinity_hit_count sched;
-      s_switches = Sched.switch_count sched;
-      s_faults =
-        (match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0);
-      s_syscalls = non_mem;
-    } )
-
-let smp_http config ?cores ?requests ?conns ?render_ns () =
-  snd (smp_http_rt config ?cores ?requests ?conns ?render_ns ())
+  {
+    s_cores = cores;
+    s_requests = handled;
+    s_wall_ns = wall;
+    s_cpu_ns = Clock.now clock;
+    s_req_per_sec = float_of_int handled /. (float_of_int wall /. 1e9);
+    s_steals = Sched.steal_count sched;
+    s_affinity_hits = Sched.affinity_hit_count sched;
+    s_switches = Sched.switch_count sched;
+    s_faults =
+      (match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0);
+    s_syscalls = non_mem;
+    s_rt = rt;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Named dispatch (trace_dump, CI)                                     *)
+(* The registry: every named scenario, once, for every tool            *)
 
-let scenario_names =
-  [ "bild"; "http"; "fasthttp"; "wiki"; "pq"; "smp_http"; "zerocopy_http" ]
+type outcome = { rt : Runtime.t; summary : string; req_per_sec : float option }
+type entry = { name : string; run : config -> ?requests:int -> unit -> outcome }
 
-let pp_http_result r =
-  Printf.sprintf "%d requests, %.0f req/s, %.2f syscalls/req" r.h_requests
-    r.h_req_per_sec r.h_syscalls_per_req
+let http_outcome r =
+  {
+    rt = r.h_rt;
+    summary =
+      Printf.sprintf "%d requests, %.0f req/s, %.2f syscalls/req" r.h_requests
+        r.h_req_per_sec r.h_syscalls_per_req;
+    req_per_sec = Some r.h_req_per_sec;
+  }
 
-let run_named name config ?requests () =
-  match name with
-  | "bild" ->
+let registry =
+  [
+    {
+      name = "bild";
       (* [requests] does not apply: bild is iteration-driven. *)
-      let rt, r = bild_rt config () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d ns/invert, %d transfers/invert" r.b_ns_per_invert
-            r.b_transfers )
-  | "http" ->
-      let rt, r = http_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "fasthttp" ->
-      let rt, r = fasthttp_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "wiki" ->
-      let rt, r = wiki_rt config ?requests () in
-      Ok (rt, pp_http_result r)
-  | "pq" ->
-      let rt, r = pq_rt config ?queries:requests () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d queries, %d ns/query" r.p_queries
-            r.p_ns_per_query )
-  | "smp_http" ->
-      let rt, r = smp_http_rt config ?requests () in
-      Ok
-        ( rt,
-          Printf.sprintf "%d requests on %d cores, %.0f req/s, %d steals"
-            r.s_requests r.s_cores r.s_req_per_sec r.s_steals )
-  | "zerocopy_http" ->
-      let rt, r = zerocopy_http_rt config ?requests () in
-      Ok
-        ( rt,
-          Printf.sprintf
-            "%d requests, %.0f req/s, %d bytes copied, ring %d/%d/%d"
-            r.z_requests r.z_req_per_sec r.z_bytes_copied r.z_ring_granted
-            r.z_ring_consumed r.z_ring_reclaimed )
-  | _ ->
+      run =
+        (fun config ?requests:_ () ->
+          let r = bild config () in
+          {
+            rt = r.b_rt;
+            summary =
+              Printf.sprintf "%d ns/invert, %d transfers/invert"
+                r.b_ns_per_invert r.b_transfers;
+            req_per_sec = None;
+          });
+    };
+    {
+      name = "http";
+      run = (fun config ?requests () -> http_outcome (http config ?requests ()));
+    };
+    {
+      name = "fasthttp";
+      run =
+        (fun config ?requests () -> http_outcome (fasthttp config ?requests ()));
+    };
+    {
+      name = "wiki";
+      run = (fun config ?requests () -> http_outcome (wiki config ?requests ()));
+    };
+    {
+      name = "pq";
+      run =
+        (fun config ?requests () ->
+          let r = pq config ?queries:requests () in
+          {
+            rt = r.p_rt;
+            summary =
+              Printf.sprintf "%d queries, %d ns/query" r.p_queries
+                r.p_ns_per_query;
+            req_per_sec = None;
+          });
+    };
+    {
+      name = "smp_http";
+      run =
+        (fun config ?requests () ->
+          let r = smp_http config ?requests () in
+          {
+            rt = r.s_rt;
+            summary =
+              Printf.sprintf "%d requests on %d cores, %.0f req/s, %d steals"
+                r.s_requests r.s_cores r.s_req_per_sec r.s_steals;
+            req_per_sec = Some r.s_req_per_sec;
+          });
+    };
+    {
+      name = "zerocopy_http";
+      run =
+        (fun config ?requests () ->
+          let r = zerocopy_http config ?requests () in
+          {
+            rt = r.z_rt;
+            summary =
+              Printf.sprintf
+                "%d requests, %.0f req/s, %d bytes copied, ring %d/%d/%d"
+                r.z_requests r.z_req_per_sec r.z_bytes_copied r.z_ring_granted
+                r.z_ring_consumed r.z_ring_reclaimed;
+            req_per_sec = Some r.z_req_per_sec;
+          });
+    };
+  ]
+
+let find ?(among = registry) name =
+  match List.find_opt (fun e -> e.name = name) among with
+  | Some e -> Ok e
+  | None ->
       Error
         (Printf.sprintf "unknown scenario %s (choose from: %s)" name
-           (String.concat ", " scenario_names))
+           (String.concat ", " (List.map (fun e -> e.name) among)))
 
 let wiki_check config =
   let rt = wiki_boot config in

@@ -2,12 +2,22 @@
 
     Each scenario builds a full program (packages + enclosures), boots it
     under the requested configuration ([None] = unmodified-Go baseline),
-    drives a workload, and reports simulated-time results. These are used
-    by the benchmark harness, the examples, and the integration tests. *)
+    drives a workload, and reports simulated-time results. Every result
+    record carries the booted runtime ([b_rt], [h_rt], ...), so a caller
+    can inspect the machine — observability sink, LitterBox counters —
+    after the workload. These are used by the benchmark harness, the
+    command-line tools (through {!registry}), the examples, and the
+    integration tests. *)
 
 type config = Encl_litterbox.Litterbox.backend option
 
 val config_name : config -> string
+
+val runtime_config :
+  ?rcfg:Encl_golike.Runtime.config -> config -> Encl_golike.Runtime.config
+(** The runtime configuration a scenario boots: [rcfg] when given, else
+    the unmodified-Go baseline ([None]) or the default configuration of
+    the backend. *)
 
 (** The [?rcfg] parameter overrides the full runtime configuration
     (custom cost model, clustering ablation); when present it takes
@@ -17,6 +27,7 @@ type bild_result = {
   b_ns_per_invert : int;  (** steady-state simulated ns per invert call *)
   b_transfers : int;
   b_checksum : int;  (** output checksum (correctness witness) *)
+  b_rt : Encl_golike.Runtime.t;
 }
 
 val bild :
@@ -31,6 +42,7 @@ type http_result = {
   h_ns : int;  (** simulated ns for the measured requests *)
   h_req_per_sec : float;
   h_syscalls_per_req : float;
+  h_rt : Encl_golike.Runtime.t;
 }
 
 val http :
@@ -65,6 +77,7 @@ type smp_result = {
   s_switches : int;  (** Execute environment switches *)
   s_faults : int;  (** LitterBox-accounted enclosure faults *)
   s_syscalls : int;  (** non-memory-category system calls, cumulative *)
+  s_rt : Encl_golike.Runtime.t;
 }
 
 val smp_http :
@@ -84,6 +97,7 @@ val wiki_check : config -> (string, string) result
 type pq_result = {
   p_queries : int;  (** queries completed *)
   p_ns_per_query : int;  (** simulated ns per query (connect amortized) *)
+  p_rt : Encl_golike.Runtime.t;
 }
 
 val pq :
@@ -111,6 +125,7 @@ type zc_result = {
   z_ring_reclaimed : int;
       (** rx-ring descriptor balance: granted = consumed + reclaimed at
           quiesce, independent of the Zerocopy flag *)
+  z_rt : Encl_golike.Runtime.t;
 }
 
 val zerocopy_http :
@@ -136,12 +151,12 @@ type chaos_result = {
   c_conns_failed : int;  (** connections torn down by a contained fault *)
   c_quarantined : bool;  (** the targeted enclosure exhausted its budget *)
   c_reconnects : int;  (** pq re-dials (wiki scenario) *)
+  c_rt : Encl_golike.Runtime.t;
 }
 
 val chaos_http :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
-  ?budget:int -> ?requests:int -> ?conns:int -> unit ->
-  Encl_golike.Runtime.t * chaos_result
+  ?budget:int -> ?requests:int -> ?conns:int -> unit -> chaos_result
 (** Spurious page faults injected into the request-handler enclosure at
     [rate] per consultation. Each fault costs one connection; after
     [budget] faults the enclosure is quarantined and the handler serves a
@@ -150,8 +165,7 @@ val chaos_http :
 
 val chaos_wiki :
   config -> ?rcfg:Encl_golike.Runtime.config -> ?seed:int64 -> ?rate:float ->
-  ?budget:int -> ?requests:int -> ?conns:int -> unit ->
-  Encl_golike.Runtime.t * chaos_result
+  ?budget:int -> ?requests:int -> ?conns:int -> unit -> chaos_result
 (** Network chaos over the wiki: dropped connections, short reads and
     writes, transient [EINTR]/[EAGAIN] — exercising the retry helpers
     and the pq -> minidb reconnect path. *)
@@ -159,48 +173,33 @@ val chaos_wiki :
 val pp_chaos_result : chaos_result -> string
 (** One deterministic [key=value] line (the chaos tool's output). *)
 
-(** {2 Runtime-returning variants}
+(** {2 The registry}
 
-    The [_rt] functions additionally return the booted runtime so
-    callers (the trace dumper, tests) can inspect the machine —
-    observability sink, LitterBox counters — after the workload. *)
+    Every named scenario exists once, as an {!entry} of {!registry};
+    the command-line tools (profile, trace_dump, policyminer) list,
+    look up and run scenarios only through it. *)
 
-val bild_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?width:int -> ?height:int ->
-  ?iters:int -> unit -> Encl_golike.Runtime.t * bild_result
+type outcome = {
+  rt : Encl_golike.Runtime.t;  (** the booted runtime, after the workload *)
+  summary : string;  (** one human-readable result line *)
+  req_per_sec : float option;
+      (** the scenario's request rate; [None] for bild and pq, which
+          measure per-operation time instead *)
+}
 
-val http_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * http_result
+type entry = {
+  name : string;
+  run : config -> ?requests:int -> unit -> outcome;
+      (** Run with default sizing. [requests] sets the request count of
+          the server scenarios and the query count of [pq]; [bild] is
+          iteration-driven and ignores it. *)
+}
 
-val fasthttp_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * http_result
+val registry : entry list
+(** ["bild"; "http"; "fasthttp"; "wiki"; "pq"; "smp_http";
+    "zerocopy_http"], in that order. *)
 
-val wiki_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?requests:int ->
-  ?conns:int -> unit -> Encl_golike.Runtime.t * http_result
-
-val pq_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?workers:int ->
-  ?queries:int -> unit -> Encl_golike.Runtime.t * pq_result
-
-val zerocopy_http_rt :
-  config -> ?rcfg:Encl_golike.Runtime.config -> ?requests:int -> ?conns:int ->
-  unit -> Encl_golike.Runtime.t * zc_result
-
-val smp_http_rt :
-  config -> ?cores:int -> ?requests:int -> ?conns:int -> ?render_ns:int ->
-  unit -> Encl_golike.Runtime.t * smp_result
-
-val scenario_names : string list
-(** Names accepted by {!run_named}: currently
-    ["bild"; "http"; "fasthttp"; "wiki"; "pq"; "smp_http";
-    "zerocopy_http"]. *)
-
-val run_named :
-  string -> config -> ?requests:int -> unit ->
-  (Encl_golike.Runtime.t * string, string) result
-(** Run a scenario by name with default sizing ([?requests] applies to the
-    HTTP-style scenarios; [bild] is iteration-driven and ignores it).
-    Returns the runtime and a one-line human-readable result. *)
+val find : ?among:entry list -> string -> (entry, string) result
+(** The entry named [name] in [among] (default {!registry}), or an
+    ["unknown scenario X (choose from: ...)"] error listing every name
+    in [among]. *)

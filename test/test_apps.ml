@@ -1,5 +1,6 @@
 (* Tests for the workload applications: minidb SQL engine, mux router,
-   bild, the HTTP servers, the wiki app, and the attack suite. *)
+   bild, the HTTP servers, the wiki app, the attack suite, the scenario
+   registry and the tools' shared backend spellings. *)
 
 module Runtime = Encl_golike.Runtime
 module Gbuf = Encl_golike.Gbuf
@@ -10,8 +11,10 @@ module Mux = Encl_apps.Mux
 module Bild = Encl_apps.Bild
 module Httpd = Encl_apps.Httpd
 module Scenarios = Encl_apps.Scenarios
-module Malice = Encl_apps.Malice
+module Legacy = Encl_attack.Legacy
 module Deps = Encl_apps.Deps
+module Backend = Encl_litterbox.Backend
+module Cli = Encl_cli.Cli
 
 (* ------------------------------------------------------------------ *)
 (* Minidb *)
@@ -442,50 +445,135 @@ let wiki_tests =
 
 let attack_tests =
   let run ?(backend = Some Lb.Mpk) attack mitigation =
-    Malice.run ~backend attack mitigation
+    Legacy.run ~backend attack mitigation
   in
   [
     Alcotest.test_case "unprotected ssh-decorator exfiltrates" `Quick (fun () ->
-        let o = run ~backend:None Malice.Ssh_decorator Malice.Unprotected in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "stolen" true (o.Malice.exfiltrated > 0));
+        let o = run ~backend:None Legacy.Ssh_decorator Legacy.Unprotected in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "stolen" true (o.Legacy.exfiltrated > 0));
     Alcotest.test_case "default policy contains every attack" `Quick (fun () ->
         List.iter
           (fun attack ->
-            let o = run attack Malice.Default_policy in
+            let o = run attack Legacy.Default_policy in
             Alcotest.(check bool)
-              (Malice.attack_name attack ^ " blocked")
-              true o.Malice.attack_blocked;
+              (Legacy.attack_name attack ^ " blocked")
+              true o.Legacy.attack_blocked;
             Alcotest.(check int)
-              (Malice.attack_name attack ^ " exfil")
-              0 o.Malice.exfiltrated)
-          Malice.all_attacks);
+              (Legacy.attack_name attack ^ " exfil")
+              0 o.Legacy.exfiltrated)
+          Legacy.all_attacks);
     Alcotest.test_case "default policy breaks legitimate ssh use" `Quick (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Default_policy in
-        Alcotest.(check bool) "legit broken" false o.Malice.legit_ok);
+        let o = run Legacy.Ssh_decorator Legacy.Default_policy in
+        Alcotest.(check bool) "legit broken" false o.Legacy.legit_ok);
     Alcotest.test_case "preallocated socket keeps ssh working, contained" `Quick
       (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Preallocated_socket in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "blocked" true o.Malice.attack_blocked);
+        let o = run Legacy.Ssh_decorator Legacy.Preallocated_socket in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked);
     Alcotest.test_case "connect list keeps ssh working, contained" `Quick (fun () ->
-        let o = run Malice.Ssh_decorator Malice.Connect_list in
-        Alcotest.(check bool) "legit" true o.Malice.legit_ok;
-        Alcotest.(check bool) "blocked" true o.Malice.attack_blocked);
+        let o = run Legacy.Ssh_decorator Legacy.Connect_list in
+        Alcotest.(check bool) "legit" true o.Legacy.legit_ok;
+        Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked);
     Alcotest.test_case "connect list cannot stop a backdoor listener" `Quick
       (fun () ->
         (* An honest limitation: granting the net category for the
            legitimate connection also allows bind/listen. *)
-        let o = run Malice.Backdoor Malice.Connect_list in
-        Alcotest.(check bool) "not blocked" false o.Malice.attack_blocked);
+        let o = run Legacy.Backdoor Legacy.Connect_list in
+        Alcotest.(check bool) "not blocked" false o.Legacy.attack_blocked);
     Alcotest.test_case "memory snoop faults under both backends" `Quick (fun () ->
         List.iter
           (fun backend ->
             let o =
-              run ~backend:(Some backend) Malice.Memory_snoop Malice.Default_policy
+              run ~backend:(Some backend) Legacy.Memory_snoop Legacy.Default_policy
             in
-            Alcotest.(check bool) "blocked" true o.Malice.attack_blocked)
+            Alcotest.(check bool) "blocked" true o.Legacy.attack_blocked)
           Fixtures.all_backends);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Scenario registry and the shared command-line converters *)
+
+(* What each registry entry must report at [n] requests: the request
+   rate of the typed scenario function called directly. bild and pq
+   measure per-operation time and report none. *)
+let typed_req_per_sec =
+  [
+    ("bild", fun _ _ -> None);
+    ("http", fun c n -> Some (Scenarios.http c ~requests:n ()).h_req_per_sec);
+    ( "fasthttp",
+      fun c n -> Some (Scenarios.fasthttp c ~requests:n ()).h_req_per_sec );
+    ("wiki", fun c n -> Some (Scenarios.wiki c ~requests:n ()).h_req_per_sec);
+    ("pq", fun _ _ -> None);
+    ( "smp_http",
+      fun c n -> Some (Scenarios.smp_http c ~requests:n ()).s_req_per_sec );
+    ( "zerocopy_http",
+      fun c n ->
+        Some (Scenarios.zerocopy_http c ~requests:n ()).z_req_per_sec );
+  ]
+
+let registry_names =
+  List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.registry
+
+let parse conv s = Cmdliner.Arg.conv_parser conv s
+let print conv v = Format.asprintf "%a" (Cmdliner.Arg.conv_printer conv) v
+
+let registry_tests =
+  [
+    Alcotest.test_case "names are unique" `Quick (fun () ->
+        Alcotest.(check int) "no duplicates"
+          (List.length registry_names)
+          (List.length (List.sort_uniq compare registry_names)));
+    Alcotest.test_case "an unknown name lists every scenario" `Quick
+      (fun () ->
+        match Scenarios.find "nosuch" with
+        | Ok _ -> Alcotest.fail "found a scenario named nosuch"
+        | Error e ->
+            Alcotest.(check string) "message"
+              ("unknown scenario nosuch (choose from: "
+              ^ String.concat ", " registry_names
+              ^ ")")
+              e);
+    Alcotest.test_case "entries match the typed functions on every config"
+      `Slow (fun () ->
+        Alcotest.(check (list string)) "every entry covered"
+          (List.map fst typed_req_per_sec) registry_names;
+        let requests = 64 in
+        List.iter
+          (fun (e : Scenarios.entry) ->
+            let typed = List.assoc e.name typed_req_per_sec in
+            List.iter
+              (fun config ->
+                Alcotest.(check (option (float 0.)))
+                  (Printf.sprintf "%s under %s" e.name
+                     (Scenarios.config_name config))
+                  (typed config requests)
+                  (e.run config ~requests ()).req_per_sec)
+              (None :: List.map Option.some Backend.all))
+          Scenarios.registry);
+    Alcotest.test_case "--backend round-trips every backend" `Quick (fun () ->
+        List.iter
+          (fun b ->
+            let name = Backend.arg_name b in
+            Alcotest.(check bool) (name ^ " parses") true
+              (parse Cli.config_conv name = Ok (Some b));
+            Alcotest.(check string) (name ^ " prints") name
+              (print Cli.config_conv (Some b)))
+          Backend.all;
+        Alcotest.(check bool) "baseline parses" true
+          (parse Cli.config_conv "baseline" = Ok None);
+        Alcotest.(check bool) "unknown rejected" true
+          (Result.is_error (parse Cli.config_conv "bogus")));
+    Alcotest.test_case "backend lists take commas or all" `Quick (fun () ->
+        Alcotest.(check bool) "all" true
+          (parse Cli.backends_conv "all" = Ok Backend.all);
+        Alcotest.(check bool) "round-trip" true
+          (parse Cli.backends_conv (print Cli.backends_conv Backend.all)
+          = Ok Backend.all);
+        Alcotest.(check bool) "subset" true
+          (parse Cli.backends_conv "sfi,mpk" = Ok [ Backend.Sfi; Backend.Mpk ]);
+        Alcotest.(check bool) "unknown rejected" true
+          (Result.is_error (parse Cli.backends_conv "mpk,bogus")));
   ]
 
 let () =
@@ -499,4 +587,5 @@ let () =
       ("wiki", wiki_tests);
       ("failures", failure_tests);
       ("attacks", attack_tests);
+      ("registry", registry_tests);
     ]

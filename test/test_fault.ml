@@ -263,7 +263,7 @@ let chaos_tests =
   [
     Alcotest.test_case "http chaos: contained, quarantined, available" `Quick
       (fun () ->
-        let _rt, r =
+        let r =
           Scenarios.chaos_http (Some Lb.Mpk) ~seed:42L ~requests:150 ()
         in
         Alcotest.(check bool) "availability >= 0.9" true
@@ -274,14 +274,14 @@ let chaos_tests =
           r.Scenarios.c_faults);
     Alcotest.test_case "http chaos is deterministic" `Quick (fun () ->
         let run () =
-          snd (Scenarios.chaos_http (Some Lb.Mpk) ~seed:9L ~requests:120 ())
+          Scenarios.chaos_http (Some Lb.Mpk) ~seed:9L ~requests:120 ()
         in
         let a = Scenarios.pp_chaos_result (run ()) in
         let b = Scenarios.pp_chaos_result (run ()) in
         Alcotest.(check string) "identical metrics" a b);
     Alcotest.test_case "wiki chaos: retries and reconnects keep it up" `Quick
       (fun () ->
-        let _rt, r =
+        let r =
           Scenarios.chaos_wiki (Some Lb.Mpk) ~seed:42L ~requests:120 ()
         in
         Alcotest.(check bool) "availability >= 0.9" true

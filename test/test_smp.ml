@@ -306,12 +306,11 @@ let attribution_tests =
         Obs.default_enabled := true;
         Fun.protect ~finally:(fun () -> Obs.default_enabled := saved)
         @@ fun () ->
-        let rt, r =
-          Scenarios.smp_http_rt (Some Lb.Mpk) ~cores:4 ~requests:64 ~conns:8
-            ()
+        let r =
+          Scenarios.smp_http (Some Lb.Mpk) ~cores:4 ~requests:64 ~conns:8 ()
         in
         Alcotest.(check int) "ran on 4 cores" 4 r.Scenarios.s_cores;
-        let attrib = Obs.attribution (Runtime.machine rt).Machine.obs in
+        let attrib = Obs.attribution (Runtime.machine r.s_rt).Machine.obs in
         Alcotest.(check int) "one ledger per core" 4
           (Attrib.core_count attrib);
         Alcotest.(check bool) "machine-wide conservation" true
@@ -343,8 +342,7 @@ let chaos_tests =
           let rcfg =
             { (Runtime.with_backend Lb.Mpk) with Runtime.cores = 4 }
           in
-          let _rt, r = Scenarios.chaos_http (Some Lb.Mpk) ~rcfg () in
-          r
+          Scenarios.chaos_http (Some Lb.Mpk) ~rcfg ()
         in
         let a = run () and b = run () in
         Alcotest.(check string) "same-seed reruns identical"

@@ -26,13 +26,11 @@ let boot_obs backend =
     (fun () -> Fixtures.boot backend)
 
 let run_obs name backend ?requests () =
-  Obs.default_enabled := true;
-  Fun.protect
-    ~finally:(fun () -> Obs.default_enabled := false)
-    (fun () ->
-      match Scenarios.run_named name backend ?requests () with
-      | Ok (rt, _line) -> Runtime.machine rt
-      | Error e -> failwith ("scenario failed: " ^ e))
+  match Scenarios.find name with
+  | Error e -> failwith e
+  | Ok e ->
+      Encl_cli.Cli.with_tracing ~witness:false (fun () ->
+          Runtime.machine (e.run backend ?requests ()).rt)
 
 (* ------------------------------------------------------------------ *)
 (* Span stack *)

@@ -442,12 +442,12 @@ let baseline_prop ops =
 
 let http_baseline flag =
   Sysring.with_flag flag @@ fun () ->
-  let rt, r =
-    Encl_apps.Scenarios.http_rt None
+  let r =
+    Encl_apps.Scenarios.http None
       ~rcfg:{ Runtime.baseline with Runtime.cores = 1 }
       ~requests:100 ()
   in
-  let k = kernel rt in
+  let k = kernel r.h_rt in
   (* Allocator span growth (mmap) moves with fiber interleaving; the
      ring never carries it, so compare the workload's own calls. *)
   let workload =
