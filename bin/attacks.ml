@@ -78,7 +78,6 @@ let outcome_json (a : Attack.t) (o : Attack.outcome) =
     ]
 
 let run_corpus backends seed disabled json_out =
-  Attack.reset_counters ();
   let per_backend =
     with_disabled_all disabled (fun () ->
         List.map
@@ -133,6 +132,12 @@ let run_corpus backends seed disabled json_out =
   (match json_out with
   | None -> ()
   | Some path ->
+      let tally pred =
+        List.fold_left
+          (fun acc (_, results, _) ->
+            acc + List.length (List.filter (fun (_, o) -> pred o) results))
+          0 per_backend
+      in
       let json =
         Json.Obj
           [
@@ -140,8 +145,8 @@ let run_corpus backends seed disabled json_out =
             ( "defenses_off",
               Json.List
                 (List.map (fun d -> Json.String (Defense.name d)) disabled) );
-            ("contained_total", Json.Int (Attack.contained_count ()));
-            ("escaped_total", Json.Int (Attack.escaped_count ()));
+            ("contained_total", Json.Int (tally (fun o -> o.Attack.contained)));
+            ("escaped_total", Json.Int (tally (fun o -> not o.Attack.contained)));
             ( "backends",
               Json.List
                 (List.map

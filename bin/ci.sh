@@ -95,8 +95,7 @@ stage "attack corpus (containment + load-bearing defenses)"
 # Every corpus attack must be contained on every backend (attacks.exe
 # exits non-zero on any escape), the JSON score matrix must parse, each
 # defense must be load-bearing (its paired attack escapes with the
-# defense off), and the obs containment counters must reconcile with
-# the harness tallies and the litterbox gate-violation count.
+# defense off), and the corpus must stay contained with tracing on.
 dune exec bin/attacks.exe -- run --json "$tmp/attacks.json"
 dune exec bin/trace_dump.exe -- validate "$tmp/attacks.json"
 dune exec bin/attacks.exe -- prove-defenses
@@ -114,6 +113,17 @@ if [ "$status" = 0 ] || ! grep -q "unknown backend" "$tmp/bogus_backend.err"; th
   cat "$tmp/bogus_backend.err" >&2
   exit 1
 fi
+# A workload size below 1 is a command-line error (cmdliner's 124),
+# never a run that reports "0 requests, -nan req/s".
+for cmd in "profile.exe -- http --requests=-5" "trace_dump.exe -- http --requests=0"; do
+  status=0
+  dune exec bin/$cmd > /dev/null 2> "$tmp/bad_requests.err" || status=$?
+  if [ "$status" != 124 ] || ! grep -q "must be at least 1" "$tmp/bad_requests.err"; then
+    echo "ci: $cmd exited $status, want 124 with a message" >&2
+    cat "$tmp/bad_requests.err" >&2
+    exit 1
+  fi
+done
 
 stage "sysring differential (enforcement on/off diff)"
 # Batching may change what a run costs, never what enforcement decides:
@@ -225,8 +235,9 @@ dune exec bin/profile.exe -- smp --out SMP_scaling.json
 dune exec bin/trace_dump.exe -- validate SMP_scaling.json
 
 stage "policy mining (mine -> verify -> drift)"
-# The witness ledger must reconcile with the kernel counters and the
-# obs mirrors on every backend x scenario pair.
+# The witness ledger (fed by LitterBox at its verdict sites) must
+# reconcile with the kernel-fed syscall counters and the kernel's own
+# totals on every backend x scenario pair.
 dune exec bin/trace_dump.exe -- witness
 # Mined literals must agree across all four backends, prove sound
 # (zero faults when enforced) and minimal (every one-rung narrowing

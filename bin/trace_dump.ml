@@ -18,7 +18,7 @@ module K = Encl_kernel.Kernel
 module Sysno = Encl_kernel.Sysno
 module Scenarios = Encl_apps.Scenarios
 module Obs = Encl_obs.Obs
-module Metrics = Encl_obs.Metrics
+module Counter = Encl_obs.Counter
 module Export = Encl_obs.Export
 module Cli = Encl_cli.Cli
 open Cmdliner
@@ -27,23 +27,18 @@ open Cmdliner
    with "trace-dump: cannot write ..." and exit status 1. *)
 let tool = "trace-dump"
 
-(* The acceptance invariant: the sink's cross-scope totals must agree
-   exactly with LitterBox's own counters, the syscall ring must balance
-   (submitted = drained + pending), and the obs syscall totals must
-   reconcile with the kernel's count even when batching reordered the
-   drains: guest-side denials (VTX/LWC filter checks, ring entries
-   denied at drain) never enter the kernel, so
+(* The invariants the counters must satisfy. Each relates different
+   quantities: the syscall ring must balance (submitted = drained +
+   pending), as must the rx view ring's descriptor ledger (granted =
+   consumed + reclaimed + in flight); the guest-side copy ledger, which
+   the machine keeps as a record field as well as a counter, must match
+   its counter; and the syscall verdict counters must reconcile with
+   the kernel's count even when batching reordered the drains:
+   guest-side denials (VTX/LWC filter checks, ring entries denied at
+   drain) never enter the kernel, so
    allowed + denied - guest_denied = kernel syscall_count. *)
 let cross_check lb machine obs =
   let kernel = machine.Machine.kernel in
-  let check name total lb_count =
-    if total <> lb_count then
-      Some
-        (Printf.sprintf "%s mismatch: obs total %d, counter %d" name total
-           lb_count)
-    else None
-  in
-  let m = Obs.metrics obs in
   let ring_balance =
     let submitted = K.ring_submitted_count kernel in
     let drained = K.ring_drained_count kernel in
@@ -55,9 +50,6 @@ let cross_check lb machine obs =
            drained pending)
     else None
   in
-  (* The rx view ring's descriptor ledger: every granted slot is either
-     consumed by the owner or force-reclaimed (close), with the obs
-     mirrors exact; [rxring_inflight] covers a dump taken mid-flight. *)
   let rxring_balance =
     let granted, consumed, reclaimed = K.rxring_counters kernel in
     let inflight = K.rxring_inflight kernel in
@@ -69,26 +61,18 @@ let cross_check lb machine obs =
            granted consumed reclaimed inflight)
     else None
   in
-  (* Both halves of the bytes_copied ledger against their obs mirrors:
-     kernel user-memory passes and guest buffer-to-buffer copies. *)
   let copy_ledger =
-    let k_obs = Metrics.total m "bytes_copied.kernel" in
-    let k_ledger = K.bytes_copied_count kernel in
-    let a_obs = Metrics.total m "bytes_copied.app" in
+    let a_obs = Obs.total obs Counter.Bytes_copied_app in
     let a_ledger = machine.Machine.bytes_copied in
-    if k_obs <> k_ledger then
-      Some
-        (Printf.sprintf "bytes_copied.kernel mismatch: obs %d, kernel %d"
-           k_obs k_ledger)
-    else if a_obs <> a_ledger then
+    if a_obs <> a_ledger then
       Some
         (Printf.sprintf "bytes_copied.app mismatch: obs %d, machine %d" a_obs
            a_ledger)
     else None
   in
   let syscall_reconcile =
-    let allowed = Metrics.total m "syscall.allowed" in
-    let denied = Metrics.total m "syscall.denied" in
+    let allowed = Obs.total obs Counter.Syscall_allowed in
+    let denied = Obs.total obs Counter.Syscall_denied in
     let guest = Lb.guest_denied_count lb in
     let kernel_count = K.syscall_count kernel in
     if allowed + denied - guest <> kernel_count then
@@ -100,47 +84,7 @@ let cross_check lb machine obs =
     else None
   in
   List.filter_map Fun.id
-    [
-      check "switch" (Metrics.total m "switch") (Lb.switch_count lb);
-      check "switch_elided"
-        (Metrics.total m "switch_elided")
-        (Lb.switch_elided_count lb);
-      check "fault" (Metrics.total m "fault") (Lb.fault_count lb);
-      check "transfer" (Metrics.total m "transfer") (Lb.transfer_count lb);
-      check "transfer_coalesced"
-        (Metrics.total m "transfer_coalesced")
-        (Lb.transfer_coalesced_count lb);
-      check "ring_submitted"
-        (Metrics.total m "ring_submitted")
-        (K.ring_submitted_count kernel);
-      check "ring_drained"
-        (Metrics.total m "ring_drained")
-        (K.ring_drained_count kernel);
-      check "ring_batches"
-        (Metrics.total m "ring_batches")
-        (K.ring_batches_count kernel);
-      check "sfi_masked_access"
-        (Metrics.total m "sfi_masked_access")
-        (Lb.sfi_masked_access_count lb);
-      check "tainted_verified"
-        (Metrics.total m "tainted_verified")
-        (Lb.tainted_verified_count lb);
-      check "tainted_rejected"
-        (Metrics.total m "tainted_rejected")
-        (Lb.tainted_rejected_count lb);
-      (let granted, _, _ = K.rxring_counters kernel in
-       check "ring.rx_granted" (Metrics.total m "ring.rx_granted") granted);
-      (let _, consumed, _ = K.rxring_counters kernel in
-       check "ring.rx_consumed" (Metrics.total m "ring.rx_consumed") consumed);
-      (let _, _, reclaimed = K.rxring_counters kernel in
-       check "ring.rx_reclaimed"
-         (Metrics.total m "ring.rx_reclaimed")
-         reclaimed);
-      ring_balance;
-      rxring_balance;
-      copy_ledger;
-      syscall_reconcile;
-    ]
+    [ ring_balance; rxring_balance; copy_ledger; syscall_reconcile ]
 
 (* Conservation, re-checked over the written artifact: metrics.json
    used to carry one attribution ledger per machine; it now carries one
@@ -500,76 +444,49 @@ let enforcement () =
   0
 
 (* ------------------------------------------------------------------ *)
-(* Attack-corpus cross-check: the obs mirrors of the containment
-   counters must agree with the harness tallies, and each run's
-   "gate_violation" obs counter must equal the litterbox's own
-   gate-violation count (cpu forged-switch faults + kernel origin kills
-   + mm denials). Any escape is also a failure here. *)
+(* Attack corpus under tracing: every attack must be contained on every
+   backend; each run's gate-violation count is printed. *)
 
 module Attack = Encl_attack.Attack
 
 let attacks_check () =
   Cli.with_tracing ~witness:false @@ fun () ->
-  Attack.reset_counters ();
-  let errors = ref [] in
-  let obs_contained = ref 0 and obs_escaped = ref 0 in
+  let escapes = ref [] and contained = ref 0 and runs = ref 0 in
   List.iter
     (fun backend ->
       List.iter
         (fun (a : Attack.t) ->
           let r = a.Attack.run ~backend ~seed:42 in
-          let m = Obs.metrics r.Attack.machine.Machine.obs in
           let label =
             Printf.sprintf "%s/%s" a.Attack.name
               (Encl_litterbox.Backend.arg_name backend)
           in
-          obs_contained := !obs_contained + Metrics.total m "attack_contained";
-          obs_escaped := !obs_escaped + Metrics.total m "attack_escaped";
-          let obs_gate = Metrics.total m "gate_violation" in
-          let lb_gate = Lb.gate_violation_count r.Attack.lb in
-          if obs_gate <> lb_gate then
-            errors :=
-              Printf.sprintf
-                "%s: gate_violation mismatch: obs %d, litterbox %d" label
-                obs_gate lb_gate
-              :: !errors;
-          if not r.Attack.outcome.Attack.contained then
-            errors :=
+          let ok = r.Attack.outcome.Attack.contained in
+          incr runs;
+          if ok then incr contained
+          else
+            escapes :=
               Printf.sprintf "%s: ESCAPED (%s)" label
                 r.Attack.outcome.Attack.detail
-              :: !errors;
-          Printf.printf "  %-28s contained=%b gate_violations=%d\n" label
-            r.Attack.outcome.Attack.contained lb_gate)
+              :: !escapes;
+          Printf.printf "  %-28s contained=%b gate_violations=%d\n" label ok
+            (Lb.gate_violation_count r.Attack.lb))
         Attack.all)
     Encl_litterbox.Backend.all;
-  if !obs_contained <> Attack.contained_count () then
-    errors :=
-      Printf.sprintf "attack_contained mismatch: obs %d, harness %d"
-        !obs_contained
-        (Attack.contained_count ())
-      :: !errors;
-  if !obs_escaped <> Attack.escaped_count () then
-    errors :=
-      Printf.sprintf "attack_escaped mismatch: obs %d, harness %d" !obs_escaped
-        (Attack.escaped_count ())
-      :: !errors;
-  match !errors with
+  match List.rev !escapes with
   | [] ->
-      Printf.printf
-        "attack counters reconcile: contained=%d escaped=%d across %d runs\n"
-        (Attack.contained_count ())
-        (Attack.escaped_count ())
-        (List.length Attack.all * List.length Encl_litterbox.Backend.all);
+      Printf.printf "attack corpus: contained=%d escaped=0 across %d runs\n"
+        !contained !runs;
       0
   | es ->
-      List.iter (fun e -> Printf.printf "MISMATCH %s\n" e) (List.rev es);
+      List.iter (fun e -> Printf.printf "FAIL %s\n" e) es;
       1
 
 (* ------------------------------------------------------------------ *)
 (* Witness cross-check: the witness recorder's per-scope syscall
-   aggregates are a third, independently-fed ledger next to the obs
-   metric counters (fed from the kernel) and the kernel's own
-   per-syscall totals. For each backend x scenario the three must
+   aggregates are fed by LitterBox at its verdict sites, independently
+   of the registry's syscall counters (fed from the kernel) and the
+   kernel's own per-syscall totals. For each backend x scenario the three must
    reconcile exactly:
      witness allowed/denied      == obs "syscall.allowed"/"syscall.denied"
      kernel count - exits        == allowed + denied - guest denials
@@ -581,11 +498,10 @@ module Witness = Encl_obs.Witness
 
 let witness_scenario errors label lb kernel obs =
   let w = Lb.witness lb in
-  let m = Obs.metrics obs in
   let fail fmt = Printf.ksprintf (fun s -> errors := (label ^ ": " ^ s) :: !errors) fmt in
   let w_allowed, w_denied = Witness.totals w in
-  let o_allowed = Metrics.total m "syscall.allowed" in
-  let o_denied = Metrics.total m "syscall.denied" in
+  let o_allowed = Obs.total obs Counter.Syscall_allowed in
+  let o_denied = Obs.total obs Counter.Syscall_denied in
   if w_allowed <> o_allowed then
     fail "allowed mismatch: witness %d, obs %d" w_allowed o_allowed;
   if w_denied <> o_denied then
@@ -603,7 +519,7 @@ let witness_scenario errors label lb kernel obs =
     (fun cat ->
       let name = Sysno.category_name cat in
       let w_cat = Witness.category_total w ~category:name in
-      let o_cat = Metrics.total m ("syscall." ^ name) in
+      let o_cat = Obs.total obs (Sysno.counter cat) in
       if w_cat <> o_cat then
         fail "category %s mismatch: witness %d, obs %d" name w_cat o_cat)
     Sysno.all_categories;
@@ -701,9 +617,8 @@ let attacks_cmd =
   Cmd.v
     (Cmd.info "attacks"
        ~doc:
-         "Run the attack corpus on every backend and cross-check the obs \
-          containment counters against the harness tallies and the \
-          litterbox gate-violation count.")
+         "Run the attack corpus on every backend with tracing on, print \
+          each run's gate-violation count, and exit 1 on any escape.")
     Term.(const attacks_check $ const ())
 
 let () =

@@ -15,10 +15,8 @@ let backoff rt ~op ~attempt =
      syscalls are denied under net-only enclosure filters. *)
   Clock.consume (Runtime.clock rt) Clock.Other ns;
   let obs = (Runtime.machine rt).Machine.obs in
-  if Obs.enabled obs then begin
-    Obs.incr obs "retry";
-    Obs.emit obs (Encl_obs.Event.Retry { op; attempt })
-  end
+  Obs.incr obs Encl_obs.Counter.Retry;
+  Obs.emit obs (Encl_obs.Event.Retry { op; attempt })
 
 let with_backoff ?(attempts = 5) rt ~op f =
   let rec go attempt =

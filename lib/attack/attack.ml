@@ -40,18 +40,6 @@ type t = {
   run : backend:Backend.t -> seed:int -> run_result;
 }
 
-(* Corpus-level tallies, mirrored into the per-machine obs counters
-   "attack_contained" / "attack_escaped" at the same point. *)
-let contained_total = ref 0
-let escaped_total = ref 0
-
-let reset_counters () =
-  contained_total := 0;
-  escaped_total := 0
-
-let contained_count () = !contained_total
-let escaped_count () = !escaped_total
-
 (* ------------------------------------------------------------------ *)
 (* Shared harness: an application with in-memory secrets that imports
    one malicious package, wrapped in the [evil_enc] enclosure.          *)
@@ -109,9 +97,9 @@ let benign_call rt =
 
 let conclude rt ~contained ~exfiltrated ~legit_ok ~detail =
   let m = Runtime.machine rt in
-  if contained then incr contained_total else incr escaped_total;
   Obs.incr m.Machine.obs
-    (if contained then "attack_contained" else "attack_escaped");
+    (if contained then Encl_obs.Counter.Attack_contained
+     else Encl_obs.Counter.Attack_escaped);
   {
     outcome = { contained; exfiltrated; legit_ok; detail };
     machine = m;

@@ -62,10 +62,19 @@ let backends =
     & info [ "backend" ] ~docv:"LIST"
         ~doc:"Comma-separated backends (mpk, vtx, lwc, sfi) or all.")
 
+let requests_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let requests =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some requests_conv) None
     & info [ "requests" ] ~docv:"N"
         ~doc:
           "Workload size: requests for the server scenarios, queries for pq \

@@ -27,9 +27,13 @@ val backends : Encl_litterbox.Backend.t list Cmdliner.Term.t
 
 (** {2 Workloads} *)
 
+val requests_conv : int Cmdliner.Arg.conv
+(** A positive integer: anything below 1 is a command-line error. *)
+
 val requests : int option Cmdliner.Term.t
-(** [--requests N]: the workload size (requests for the server
-    scenarios, queries for pq); absent means the scenario's default. *)
+(** [--requests N] via {!requests_conv}: the workload size (requests for
+    the server scenarios, queries for pq); absent means the scenario's
+    default. *)
 
 val scenario :
   Encl_apps.Scenarios.entry list -> Encl_apps.Scenarios.entry Cmdliner.Term.t

@@ -291,9 +291,9 @@ let gc t =
     Encl_obs.Obs.span_exit obs sp
   in
   (match t.lb with None -> work () | Some lb -> Lb.with_trusted lb work);
+  Encl_obs.Obs.incr_in (Encl_obs.Obs.trusted obs) Encl_obs.Counter.Gc;
   if Encl_obs.Obs.enabled obs then begin
     let dur = Clock.now t.machine.Machine.clock - t0 in
-    Encl_obs.Obs.incr obs ~scope:"trusted" "gc";
     Encl_obs.Obs.observe obs ~scope:"trusted" "gc_ns" dur;
     Encl_obs.Obs.emit obs ~dur (Encl_obs.Event.Gc { spans })
   end

@@ -56,16 +56,13 @@ type t = {
           victim choices — the only nondeterminism-shaped decisions,
           made deterministic by the seed *)
   mutable exec_switches : int;
-  mutable affinity_hits : int;
   affinity_streaks : int array;
       (** per-core consecutive out-of-FIFO-order picks *)
   core_envs : Lb.env_ref option array;
       (** what each core last had installed; [None] = still the boot
           (trusted) environment *)
-  mutable steal_count : int;
   steals_per_core : int array;  (** steals performed by each thief core *)
   results : (int, exit_status) Hashtbl.t;
-  mutable kill_count : int;
 }
 
 let default_seed = 0x5317_ac3dL
@@ -82,13 +79,10 @@ let create ~machine ?(seed = default_seed) ~lb () =
     ids = Encl_util.Ids.make ();
     rng = Encl_util.Rng.make ~seed;
     exec_switches = 0;
-    affinity_hits = 0;
     affinity_streaks = Array.make cores 0;
     core_envs = Array.make cores None;
-    steal_count = 0;
     steals_per_core = Array.make cores 0;
     results = Hashtbl.create 16;
-    kill_count = 0;
   }
 
 let in_fiber t = t.current <> None
@@ -187,10 +181,9 @@ let kill_reason t e =
 
 let note_kill t fiber reason =
   Hashtbl.replace t.results fiber.fid (Killed reason);
-  t.kill_count <- t.kill_count + 1;
   let obs = t.machine.Machine.obs in
+  Obs.incr obs Encl_obs.Counter.Fiber_kill;
   if Obs.enabled obs then begin
-    Obs.incr obs "fiber.kill";
     Obs.emit obs (Encl_obs.Event.Fiber_kill { fid = fiber.fid; reason });
     Obs.span_mark obs
       ~name:(Printf.sprintf "fiber_kill:%d" fiber.fid)
@@ -310,9 +303,7 @@ let pick_next t core =
         match !chosen with
         | Some f ->
             t.affinity_streaks.(core) <- t.affinity_streaks.(core) + 1;
-            t.affinity_hits <- t.affinity_hits + 1;
-            let obs = t.machine.Machine.obs in
-            if Obs.enabled obs then Obs.incr obs "sched.affinity_hit";
+            Obs.incr t.machine.Machine.obs Encl_obs.Counter.Sched_affinity_hit;
             f
         | None ->
             t.affinity_streaks.(core) <- 0;
@@ -389,10 +380,8 @@ let steal t ~thief =
       let fiber = Queue.pop t.runqs.(victim) in
       fiber.core <- thief;
       Queue.push fiber t.runqs.(thief);
-      t.steal_count <- t.steal_count + 1;
       t.steals_per_core.(thief) <- t.steals_per_core.(thief) + 1;
-      let obs = t.machine.Machine.obs in
-      if Obs.enabled obs then Obs.incr obs "sched.steal"
+      Obs.incr t.machine.Machine.obs Encl_obs.Counter.Sched_steal
 
 (* Core hop: make [core]'s recorded environment the machine's current
    one before running a fiber there. Free — each core's PKRU, CR3 and
@@ -532,11 +521,12 @@ let kick t =
   schedule t
 
 let blocked_count t = Queue.length t.blocked
-let kill_count t = t.kill_count
+let kill_count t = Obs.total t.machine.Machine.obs Encl_obs.Counter.Fiber_kill
 let machine t = t.machine
 let switch_count t = t.exec_switches
-let affinity_hit_count t = t.affinity_hits
+let affinity_hit_count t =
+  Obs.total t.machine.Machine.obs Encl_obs.Counter.Sched_affinity_hit
 let core_count t = t.cores
-let steal_count t = t.steal_count
+let steal_count t = Obs.total t.machine.Machine.obs Encl_obs.Counter.Sched_steal
 
 let steals_by_core t = Array.copy t.steals_per_core

@@ -104,7 +104,7 @@ val affinity_hit_count : t -> int
     Bounded by a per-core starvation budget (a fiber is overtaken at
     most 8 times in a row on its core); 0 with the fast path disabled,
     and the pick order is exactly FIFO whenever the queue head already
-    matches. Mirrored in the obs "sched.affinity_hit" metric. *)
+    matches. Counter "sched.affinity_hit". *)
 
 val core_count : t -> int
 (** Simulated cores this scheduler shards over (the machine's). *)
@@ -112,7 +112,7 @@ val core_count : t -> int
 val steal_count : t -> int
 (** Work-steal migrations performed so far: an idle core took the
     oldest runnable fiber from the longest victim queue. Always 0 on
-    one core. Mirrored in the obs "sched.steal" metric. *)
+    one core. Counter "sched.steal". *)
 
 val steals_by_core : t -> int array
 (** Per-thief-core breakdown of {!steal_count} (a copy). *)

@@ -1,3 +1,6 @@
+module Obs = Encl_obs.Obs
+module Counter = Encl_obs.Counter
+
 type errno =
   | Eperm
   | Enoent
@@ -159,9 +162,6 @@ type rxring = {
   rx_slot_bytes : int;
   mutable rx_head : int;  (** next slot index to fill *)
   mutable rx_inflight : (int * int) list;  (** (slot, fd): granted, unconsumed *)
-  mutable rx_granted : int;
-  mutable rx_consumed : int;
-  mutable rx_reclaimed : int;
 }
 
 let ring_hdr_bytes = 8
@@ -191,19 +191,12 @@ type t = {
   rng : Encl_util.Rng.t;
   counts : (Sysno.t, int) Hashtbl.t;
   mutable total : int;
-  mutable origin_kills : int;
-  mutable mm_denied : int;
-  mutable bytes_copied : int;
   mutable rxring : rxring option;
   obs : Encl_obs.Obs.t;
   mutable inject : Encl_fault.Fault.t option;
   mutable traps : int;  (** [syscall_base] entries: direct calls + batches *)
   mutable rings : sq_entry Queue.t array;  (** per core, grown on demand *)
   mutable ring_hooks : ring_hooks option;  (** [None]: unprotected drain *)
-  mutable ring_submitted : int;
-  mutable ring_drained : int;
-  mutable ring_batches : int;  (** non-empty per-core drains *)
-  mutable ring_ipis : int;  (** remote queues flushed by another core *)
 }
 
 let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
@@ -225,19 +218,12 @@ let create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs =
     rng = Encl_util.Rng.make ~seed:0x5eccf11eL;
     counts = Hashtbl.create 64;
     total = 0;
-    origin_kills = 0;
-    mm_denied = 0;
-    bytes_copied = 0;
     rxring = None;
     obs;
     inject = None;
     traps = 0;
     rings = [| Queue.create () |];
     ring_hooks = None;
-    ring_submitted = 0;
-    ring_drained = 0;
-    ring_batches = 0;
-    ring_ipis = 0;
   }
 
 let set_injector t inj =
@@ -262,8 +248,18 @@ let mm t = t.mm
 let clock t = t.clock
 let install_seccomp t prog = Seccomp.install t.seccomp prog
 let seccomp_invalidate t = Seccomp.invalidate t.seccomp
-let seccomp_cache_stats t = Seccomp.cache_stats t.seccomp
-let seccomp_cache_hit_rate t = Seccomp.cache_hit_rate t.seccomp
+
+(* Verdict-cache probes, counted at the kernel's probe site; both stay
+   zero with the fast path off (no cache is consulted). *)
+let seccomp_cache_stats t =
+  ( Obs.total t.obs Counter.Seccomp_cache_hit,
+    Obs.total t.obs Counter.Seccomp_cache_miss )
+
+(* Well-defined before any probe: 0 probes is "no hits yet", not NaN. *)
+let seccomp_cache_hit_rate t =
+  let hits, misses = seccomp_cache_stats t in
+  if hits + misses = 0 then 0.0
+  else float_of_int hits /. float_of_int (hits + misses)
 
 let with_trusted t f =
   (* Gate-wrapped: a syscall may execute while an enclosure environment
@@ -275,15 +271,9 @@ let with_trusted t f =
       Fun.protect ~finally:(fun () -> Cpu.set_env t.cpu saved) f)
 
 (* The bytes_copied ledger: every pass a payload makes through user
-   memory lands here, mirrored into obs at the same program point so
-   trace_dump can reconcile the two. Zero simulated time — the copy
-   cost is charged where the copy happens. *)
-let note_copied t n =
-  if n > 0 then begin
-    t.bytes_copied <- t.bytes_copied + n;
-    let module Obs = Encl_obs.Obs in
-    if Obs.enabled t.obs then Obs.incr t.obs ~by:n "bytes_copied.kernel"
-  end
+   memory lands here. Zero simulated time — the copy cost is charged
+   where the copy happens. *)
+let note_copied t n = if n > 0 then Obs.add t.obs Counter.Bytes_copied_kernel n
 
 let copy_to_user t ~addr data =
   note_copied t (Bytes.length data);
@@ -418,12 +408,7 @@ let execute t call =
               in
               ring.rx_inflight <- rest;
               let k = List.length mine in
-              if k > 0 then begin
-                ring.rx_reclaimed <- ring.rx_reclaimed + k;
-                let module Obs = Encl_obs.Obs in
-                if Obs.enabled t.obs then
-                  Obs.incr t.obs ~by:k "ring.rx_reclaimed"
-              end
+              if k > 0 then Obs.add t.obs Counter.Rx_reclaimed k
           | None -> ());
           Hashtbl.remove t.fds fd;
           Ok 0)
@@ -580,10 +565,7 @@ let execute t call =
                         Cpu.write_bytes t.cpu ~addr:(addr + ring_hdr_bytes)
                           data);
                     ring.rx_inflight <- (slot, fd) :: ring.rx_inflight;
-                    ring.rx_granted <- ring.rx_granted + 1;
-                    (let module Obs = Encl_obs.Obs in
-                     if Obs.enabled t.obs then
-                       Obs.incr t.obs "ring.rx_granted");
+                    Obs.incr t.obs Counter.Rx_granted;
                     if Zerocopy.enabled () then
                       Clock.consume t.clock Clock.Syscall
                         t.costs.Costs.zc_grant
@@ -690,17 +672,17 @@ let record t nr =
   Hashtbl.replace t.counts nr (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts nr))
 
 (* Stamp the syscall's verdict into the machine's observability sink:
-   verdict counters, a per-category counter, the latency histogram, and a
-   ring event covering [t0, now]. All no-ops when the sink is disabled. *)
+   verdict counters and a per-category counter (always), the latency
+   histogram and a ring event covering [t0, now] (only when the sink is
+   enabled). *)
 let obs_syscall t nr ~t0 ~verdict =
-  let module Obs = Encl_obs.Obs in
+  let category = Sysno.category nr in
+  (match verdict with
+  | Encl_obs.Event.Allowed ->
+      Obs.incr t.obs Counter.Syscall_allowed;
+      Obs.incr t.obs (Sysno.counter category)
+  | Encl_obs.Event.Denied -> Obs.incr t.obs Counter.Syscall_denied);
   if Obs.enabled t.obs then begin
-    let category = Sysno.category nr in
-    (match verdict with
-    | Encl_obs.Event.Allowed ->
-        Obs.incr t.obs "syscall.allowed";
-        Obs.incr t.obs ("syscall." ^ Sysno.category_name category)
-    | Encl_obs.Event.Denied -> Obs.incr t.obs "syscall.denied");
     let dur = Clock.now t.clock - t0 in
     Obs.observe t.obs "syscall_ns" dur;
     Obs.emit t.obs ~dur
@@ -724,7 +706,6 @@ let mm_shaping = function
   | _ -> false
 
 let syscall_body t call nr ~trap_cost =
-  let module Obs = Encl_obs.Obs in
   let t0 = Clock.now t.clock in
   Clock.consume t.clock Clock.Syscall trap_cost;
   (* Syscall-origin verification ("syscall as a privilege"): a trap
@@ -734,8 +715,8 @@ let syscall_body t call nr ~trap_cost =
   (let env = Cpu.env t.cpu in
    if Cpu.untrusted_label env.Cpu.label && not (Cpu.in_gate t.cpu) then begin
      if Defense.enabled Defense.Syscall_origin then begin
-       t.origin_kills <- t.origin_kills + 1;
-       if Obs.enabled t.obs then Obs.incr t.obs "gate_violation";
+       Obs.incr t.obs Counter.Gate_violation;
+       Obs.incr t.obs Counter.Origin_kill;
        obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (non-gate origin)" })
@@ -743,8 +724,7 @@ let syscall_body t call nr ~trap_cost =
    end;
    if Cpu.untrusted_label env.Cpu.label && mm_shaping call then
      if Defense.enabled Defense.Mm_guard then begin
-       t.mm_denied <- t.mm_denied + 1;
-       if Obs.enabled t.obs then Obs.incr t.obs "gate_violation";
+       Obs.incr t.obs Counter.Gate_violation;
        obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Denied;
        raise
          (Syscall_killed { nr; env = env.Cpu.label ^ " (mm privilege)" })
@@ -771,12 +751,11 @@ let syscall_body t call nr ~trap_cost =
     (match outcome with
     | Seccomp.Hit ->
         Clock.consume t.clock Clock.Syscall t.costs.Costs.seccomp_cached;
-        if Obs.enabled t.obs then Obs.incr t.obs "seccomp.cache_hit"
+        Obs.incr t.obs Counter.Seccomp_cache_hit
     | Seccomp.Evaluated steps ->
         Clock.consume t.clock Clock.Syscall
           (if steps <= 4 then t.costs.Costs.seccomp_fast else t.costs.Costs.seccomp_eval);
-        if Obs.enabled t.obs && Fastpath.enabled () then
-          Obs.incr t.obs "seccomp.cache_miss");
+        if Fastpath.enabled () then Obs.incr t.obs Counter.Seccomp_cache_miss);
     if injected t "kernel.seccomp_delay" then
       (* Verdict unchanged, just late: a cold BPF JIT cache. *)
       Clock.consume t.clock Clock.Syscall (10 * t.costs.Costs.seccomp_eval);
@@ -808,7 +787,6 @@ let syscall_body t call nr ~trap_cost =
 let syscall_with t call ~trap_cost =
   let nr = sysno_of_call call in
   record t nr;
-  let module Obs = Encl_obs.Obs in
   let sp =
     if Obs.enabled t.obs then
       Obs.span_enter t.obs ~name:("syscall:" ^ Sysno.name nr)
@@ -853,14 +831,11 @@ let cross_unprotected t =
       | exception (Syscall_killed _ as x) -> complete_fault e x)
 
 let drain_one_ring t entries =
-  let module Obs = Encl_obs.Obs in
   let n = List.length entries in
-  t.ring_batches <- t.ring_batches + 1;
-  t.ring_drained <- t.ring_drained + n;
+  Obs.incr t.obs Counter.Ring_batches;
+  Obs.add t.obs Counter.Ring_drained n;
   let sp =
     if Obs.enabled t.obs then begin
-      Obs.incr t.obs "ring_batches";
-      Obs.incr t.obs ~by:n "ring_drained";
       Obs.span_enter t.obs
         ~name:(Printf.sprintf "ring_drain:%d" n)
         ~category:Encl_obs.Span.Syscall ()
@@ -881,10 +856,7 @@ let ring_drain t =
       if not (Queue.is_empty ring) then begin
         let entries = List.of_seq (Queue.to_seq ring) in
         Queue.clear ring;
-        if core <> initiator then begin
-          t.ring_ipis <- t.ring_ipis + 1;
-          if Encl_obs.Obs.enabled t.obs then Encl_obs.Obs.incr t.obs "ring_ipi"
-        end;
+        if core <> initiator then Obs.incr t.obs Counter.Ring_ipi;
         Clock.set_lane t.clock core;
         Fun.protect
           ~finally:(fun () -> Clock.set_lane t.clock initiator)
@@ -907,9 +879,8 @@ let ring_submit t call =
   in
   let sq_comp = { c_state = Pending } in
   Queue.add { sq_call = call; sq_ctx; sq_comp } ring;
-  t.ring_submitted <- t.ring_submitted + 1;
+  Obs.incr t.obs Counter.Ring_submitted;
   Clock.consume t.clock Clock.Syscall t.costs.Costs.ring_submit;
-  if Encl_obs.Obs.enabled t.obs then Encl_obs.Obs.incr t.obs "ring_submitted";
   sq_comp
 
 let completion_ready c =
@@ -925,15 +896,14 @@ let ring_await t c =
 let ring_pending t =
   Array.fold_left (fun acc ring -> acc + Queue.length ring) 0 t.rings
 
-let ring_submitted_count t = t.ring_submitted
-let ring_drained_count t = t.ring_drained
-let ring_batches_count t = t.ring_batches
-let ring_ipi_count t = t.ring_ipis
+let ring_submitted_count t = Obs.total t.obs Counter.Ring_submitted
+let ring_drained_count t = Obs.total t.obs Counter.Ring_drained
+let ring_batches_count t = Obs.total t.obs Counter.Ring_batches
+let ring_ipi_count t = Obs.total t.obs Counter.Ring_ipi
 let trap_count t = t.traps
 
 let exit_program t code =
   record t Sysno.Exit;
-  let module Obs = Encl_obs.Obs in
   let sp =
     if Obs.enabled t.obs then
       Obs.span_enter t.obs ~name:"syscall:exit"
@@ -961,9 +931,6 @@ let attach_rxring t ~base ~slots ~slot_bytes =
         rx_slot_bytes = slot_bytes;
         rx_head = 0;
         rx_inflight = [];
-        rx_granted = 0;
-        rx_consumed = 0;
-        rx_reclaimed = 0;
       }
 
 let ring_consume t slot =
@@ -973,21 +940,19 @@ let ring_consume t slot =
       if not (List.mem_assoc slot ring.rx_inflight) then
         invalid_arg "Kernel.ring_consume: descriptor not granted";
       ring.rx_inflight <- List.remove_assoc slot ring.rx_inflight;
-      ring.rx_consumed <- ring.rx_consumed + 1;
+      Obs.incr t.obs Counter.Rx_consumed;
       (* A couple of shared-memory stores under either flag setting. *)
-      Clock.consume t.clock Clock.Io t.costs.Costs.zc_consume;
-      let module Obs = Encl_obs.Obs in
-      if Obs.enabled t.obs then Obs.incr t.obs "ring.rx_consumed"
+      Clock.consume t.clock Clock.Io t.costs.Costs.zc_consume
 
 let rxring_counters t =
-  match t.rxring with
-  | None -> (0, 0, 0)
-  | Some ring -> (ring.rx_granted, ring.rx_consumed, ring.rx_reclaimed)
+  ( Obs.total t.obs Counter.Rx_granted,
+    Obs.total t.obs Counter.Rx_consumed,
+    Obs.total t.obs Counter.Rx_reclaimed )
 
 let rxring_inflight t =
   match t.rxring with None -> 0 | Some ring -> List.length ring.rx_inflight
 
-let bytes_copied_count t = t.bytes_copied
+let bytes_copied_count t = Obs.total t.obs Counter.Bytes_copied_kernel
 
 let fd_readable t fd =
   match find_fd t fd with
@@ -1002,8 +967,7 @@ let listener_pending t fd =
 
 let syscall_count t = t.total
 let count_for t nr = Option.value ~default:0 (Hashtbl.find_opt t.counts nr)
-let origin_kill_count t = t.origin_kills
-let mm_denied_count t = t.mm_denied
+let origin_kill_count t = Obs.total t.obs Counter.Origin_kill
 
 let trace t =
   Hashtbl.fold (fun nr n acc -> (nr, n) :: acc) t.counts []

@@ -170,10 +170,10 @@ val syscall_in_batch : t -> call -> (int, errno) result
     each entry through {!syscall_in_batch} in submission order. Each
     simulated core owns a queue (the clock's lane at submit time,
     capacity 64: a full queue drains first) and drains it on its own
-    lane; flushing a sibling core's queue counts as an IPI. Counters are
-    mirrored in the obs metrics ["ring_submitted"], ["ring_drained"],
-    ["ring_batches"] and ["ring_ipi"], and each drained queue runs in a
-    ["ring_drain:<n>"] span.
+    lane; flushing a sibling core's queue counts as an IPI. The counters
+    are ["ring_submitted"], ["ring_drained"], ["ring_batches"] and
+    ["ring_ipi"] in the machine's registry, and each drained queue runs
+    in a ["ring_drain:<n>"] span.
 
     Unprotected, the crossing is one {!trap}. An enforcement layer
     replaces it with {!set_ring_hooks}: LitterBox captures the
@@ -255,8 +255,8 @@ val rxring_inflight : t -> int
 val bytes_copied_count : t -> int
 (** Total bytes the kernel moved through user memory: every
     [copy_to_user]/[copy_from_user] pass plus the flag-off bounce
-    passes of the zc-capable paths. Mirrored into obs as
-    ["bytes_copied.kernel"] at the same program points. *)
+    passes of the zc-capable paths (the registry's
+    ["bytes_copied.kernel"]). *)
 
 (** {2 Netpoller helpers}
 
@@ -277,9 +277,6 @@ val count_for : t -> Sysno.t -> int
 
 val origin_kill_count : t -> int
 (** Syscalls killed by origin verification (non-gate trap sites). *)
-
-val mm_denied_count : t -> int
-(** Address-space-shaping syscalls denied to untrusted environments. *)
 
 val trace : t -> (Sysno.t * int) list
 (** Per-syscall counts, sorted by syscall number. *)

@@ -116,9 +116,7 @@ type t = {
   mutable caches : (vkey, Bpf.action) Hashtbl.t array;
       (** one verdict cache per simulated core (a real per-CPU cache
           would be lock-free for the same reason): index = core,
-          grown on demand. Hit/miss tallies stay machine-wide. *)
-  mutable hits : int;
-  mutable misses : int;
+          grown on demand. *)
   mutable invalidations : int;
 }
 
@@ -126,8 +124,6 @@ let create () =
   {
     prog = None;
     caches = [| Hashtbl.create 128 |];
-    hits = 0;
-    misses = 0;
     invalidations = 0;
   }
 
@@ -188,20 +184,10 @@ let check_memo ?(core = 0) t data =
         let cache = cache_for t core in
         let key = key_of_data data in
         (match Hashtbl.find_opt cache key with
-        | Some action ->
-            t.hits <- t.hits + 1;
-            (action, Hit)
+        | Some action -> (action, Hit)
         | None ->
-            t.misses <- t.misses + 1;
             let action, steps = Bpf.run_count prog data in
             Hashtbl.replace cache key action;
             (action, Evaluated steps))
-
-let cache_stats t = (t.hits, t.misses)
-
-(* Well-defined before any probe: 0 probes is "no hits yet", not NaN. *)
-let cache_hit_rate t =
-  let probes = t.hits + t.misses in
-  if probes = 0 then 0.0 else float_of_int t.hits /. float_of_int probes
 
 let invalidation_count t = t.invalidations

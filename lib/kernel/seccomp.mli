@@ -49,13 +49,14 @@ val check_counted : t -> Bpf.data -> Bpf.action * int
     the installed program changes ({!install}) and on explicit
     {!invalidate} (rights-vector changes). Inactive while
     {!Encl_sim.Fastpath.enabled} is false: {!check_memo} then always
-    evaluates and records no hits or misses.
+    evaluates ([Evaluated], never [Hit]).
 
     The cache is {e per simulated core} (like a real per-CPU cache, so
     no cross-core locking is being hand-waved away): the kernel passes
     the core the trap arrived on, each core warms its own verdicts, and
-    invalidation shoots down every core's cache at once. Hit/miss
-    statistics are machine-wide. *)
+    invalidation shoots down every core's cache at once. The kernel
+    counts hits and misses from the returned {!outcome}
+    ({!Kernel.seccomp_cache_stats}). *)
 
 type outcome =
   | Hit  (** verdict came from the cache *)
@@ -69,13 +70,6 @@ val check_memo : ?core:int -> t -> Bpf.data -> Bpf.action * outcome
 val invalidate : t -> unit
 (** Drop every core's cached verdicts (counted once in
     {!invalidation_count}). *)
-
-val cache_stats : t -> int * int
-(** [(hits, misses)] accumulated since creation. *)
-
-val cache_hit_rate : t -> float
-(** hits / (hits + misses). Well-defined before any probe: 0 probes is
-    0.0, never NaN. *)
 
 val invalidation_count : t -> int
 

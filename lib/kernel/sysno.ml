@@ -207,6 +207,16 @@ let category_name = function
   | Cat_sync -> "sync"
   | Cat_rand -> "rand"
 
+let counter = function
+  | Cat_io -> Encl_obs.Counter.Syscall_io
+  | Cat_file -> Syscall_file
+  | Cat_net -> Syscall_net
+  | Cat_mem -> Syscall_mem
+  | Cat_proc -> Syscall_proc
+  | Cat_time -> Syscall_time
+  | Cat_sync -> Syscall_sync
+  | Cat_rand -> Syscall_rand
+
 let all_categories =
   [ Cat_io; Cat_file; Cat_net; Cat_mem; Cat_proc; Cat_time; Cat_sync; Cat_rand ]
 

@@ -76,5 +76,9 @@ val name : t -> string
 val category : t -> category
 val category_name : category -> string
 val category_of_name : string -> category option
+
+val counter : category -> Encl_obs.Counter.t
+(** The per-category counter (["syscall.<category>"]). *)
+
 val all_categories : category list
 val in_category : category -> t list

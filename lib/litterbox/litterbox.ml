@@ -8,6 +8,7 @@ module Obs = Encl_obs.Obs
 module Event = Encl_obs.Event
 module Span = Encl_obs.Span
 module Witness = Encl_obs.Witness
+module Counter = Encl_obs.Counter
 
 type backend = Backend.t = Mpk | Vtx | Lwc | Sfi
 
@@ -29,6 +30,7 @@ type enc_rt = {
   e_deps : string list;
   e_policy : Policy.t;
   e_closure_addr : int;
+  e_scope : Obs.scope;  (** the enclosure's metric scope, resolved once *)
   mutable e_view : View.t;
   mutable e_pkru : Mpk.pkru;
   mutable e_pt : Pagetable.t option;
@@ -68,20 +70,11 @@ type t = {
   clustering : bool;
   mutable app_trusted : Cpu.env;
   mutable stack : enc_rt list;
-  mutable switches : int;
-  mutable switch_elided : int;  (** subset of [switches] served by elision *)
-  mutable transfers : int;
-  mutable coalesced : int;  (** subset of [transfers] batched by {!transfer_range} *)
-  mutable faults : int;
   mutable fault_log : string list;
   mutable fault_budget : int;  (** per-enclosure; [max_int] = no quarantine *)
   mutable denied_guest : int;
       (** guest-side denials (VTX/LWC filter checks, direct or drained):
           calls the kernel's own counters never saw *)
-  mutable tainted_verified : int;
-      (** Tainted-boundary validations that accepted the value *)
-  mutable tainted_rejected : int;
-      (** Tainted-boundary validations that rejected the value *)
 }
 
 let machine t = t.machine
@@ -89,21 +82,14 @@ let backend t = t.backend
 let graph t = t.graph
 let obs t = t.machine.Machine.obs
 
-(* Observability taps. Counter increments must track t.switches/t.faults
-   exactly — one Obs increment per mutation, at the same program point —
-   so the per-scope totals reconcile with switch_count/fault_count even
-   when an operation aborts mid-switch. All are no-ops when disabled. *)
+(* Observability taps. The counters live only in the machine's registry
+   (the [*_count] accessors below read it back); events and histograms
+   are no-ops while the sink is disabled. *)
 
 let note_fault t reason =
   let o = obs t in
-  if Obs.enabled o then begin
-    Obs.incr o "fault";
-    Obs.emit o (Event.Fault { reason })
-  end
-
-let note_switch t scope =
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o ~scope "switch"
+  Obs.incr o Counter.Fault;
+  Obs.emit o (Event.Fault { reason })
 
 let emit_switch t ~t0 kind =
   let o = obs t in
@@ -115,6 +101,12 @@ let emit_switch t ~t0 kind =
 
 let scope_name = function [] -> "trusted" | enc :: _ -> enc.e_name
 let env_scope = scope_name
+
+let stack_scope t = function
+  | [] -> Obs.trusted (obs t)
+  | enc :: _ -> enc.e_scope
+
+let note_switch scope = Obs.incr_in scope Counter.Switch
 
 (* Which enclosure does an environment label ("enc:<name>") belong to?
    The kernel's origin/mm-guard kills annotate the label with a
@@ -131,11 +123,10 @@ let enc_of_env_label label =
 
 (* The single fault-accounting point: every fault — raised by [fault],
    caught from the CPU or from seccomp — flows through here exactly
-   once, keeping t.faults, t.fault_log, the obs "fault" counter and the
-   per-enclosure quarantine budget in lockstep. [trace] is the log-book
-   entry; [reason] is what the obs event carries. *)
+   once, keeping the "fault" counter, t.fault_log and the per-enclosure
+   quarantine budget in lockstep. [trace] is the log-book entry;
+   [reason] is what the obs event carries. *)
 let record_fault t ?enclosure ~trace reason =
-  t.faults <- t.faults + 1;
   t.fault_log <- trace :: t.fault_log;
   Log.err (fun m -> m "%s" trace);
   note_fault t reason;
@@ -148,11 +139,9 @@ let record_fault t ?enclosure ~trace reason =
         Log.warn (fun m ->
             m "enclosure %s quarantined after %d faults" enc.e_name enc.e_faults);
         let o = obs t in
-        if Obs.enabled o then begin
-          Obs.incr o "quarantine";
-          Obs.emit o
-            (Event.Quarantine { enclosure = enc.e_name; faults = enc.e_faults })
-        end
+        Obs.incr o Counter.Quarantine;
+        Obs.emit o
+          (Event.Quarantine { enclosure = enc.e_name; faults = enc.e_faults })
       end
 
 let fault t ?enclosure reason =
@@ -612,9 +601,9 @@ let capture_site t =
 let note_denied t call =
   t.denied_guest <- t.denied_guest + 1;
   let o = obs t in
+  Obs.incr o Counter.Syscall_denied;
   if Obs.enabled o then begin
     let nr = K.sysno_of_call call in
-    Obs.incr o "syscall.denied";
     Obs.emit o
       (Event.Syscall
          {
@@ -1046,6 +1035,7 @@ let make_enc t ~name ~owner ~deps ~policy ~closure_addr =
               e_deps = deps;
               e_policy = p;
               e_closure_addr = closure_addr;
+              e_scope = Obs.scope (obs t) name;
               e_view = view;
               e_pkru = Mpk.pkru_all_access;
               e_pt = None;
@@ -1075,16 +1065,9 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           clustering;
           app_trusted = machine.Machine.trusted_env;
           stack = [];
-          switches = 0;
-          switch_elided = 0;
-          transfers = 0;
-          coalesced = 0;
-          faults = 0;
           fault_log = [];
           fault_budget = max_int;
           denied_guest = 0;
-          tainted_verified = 0;
-          tainted_rejected = 0;
         }
       in
       Obs.set_backend machine.Machine.obs (backend_name backend);
@@ -1175,18 +1158,10 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
                  t.vtx <- Some vtx
                end);
               (if backend = Sfi then begin
-                 let sfi =
-                   Sfi.create ~clock:machine.Machine.clock
-                     ~costs:machine.Machine.costs
-                 in
-                 (* Obs mirror in lockstep with the Sfi counter: one
-                    increment per masked access, at the same point. *)
-                 Sfi.set_observer sfi
-                   (Some
-                      (fun () ->
-                        let o = machine.Machine.obs in
-                        if Obs.enabled o then Obs.incr o "sfi_masked_access"));
-                 t.sfi <- Some sfi
+                 t.sfi <-
+                   Some
+                     (Sfi.create ~clock:machine.Machine.clock
+                        ~costs:machine.Machine.costs ~obs:machine.Machine.obs)
                end);
               match recompute t with
               | Error e -> Error e
@@ -1339,8 +1314,7 @@ let set_hw_env t env =
    hardware environment and the observability context in lockstep. *)
 let set_stack t stack =
   t.stack <- stack;
-  Obs.set_context (obs t)
-    (match stack with [] -> None | enc :: _ -> Some enc.e_name);
+  Obs.set_context (obs t) (stack_scope t stack);
   set_hw_env t (env_of_stack t stack)
 
 (* Core hop (SMP): re-install the environment stack a core already had
@@ -1353,8 +1327,7 @@ let set_stack t stack =
    costed paths. *)
 let install_core_env t stack =
   t.stack <- stack;
-  Obs.set_context (obs t)
-    (match stack with [] -> None | enc :: _ -> Some enc.e_name);
+  Obs.set_context (obs t) (stack_scope t stack);
   Cpu.with_gate t.machine.Machine.cpu ~name:"litterbox.gate" (fun () ->
       Cpu.restore_env t.machine.Machine.cpu (env_of_stack t stack))
 
@@ -1365,9 +1338,8 @@ let install_core_env t stack =
    when it holds the switch charges [switch_elided] instead of the
    backend's switch cost. Everything else is unchanged: the stack still
    moves through [set_stack] (obs context, env install — a no-op write),
-   the switch still counts in [switches] and the obs "switch" metric (so
-   trace cross-checks reconcile), and validation/quarantine checks ran
-   before we got here. Only the cost differs, which is what
+   the switch still counts as a "switch", and validation/quarantine
+   checks ran before we got here. Only the cost differs, which is what
    "semantics-preserving" means for this path. *)
 let hw_env_equal t (target : Cpu.env) =
   let cur = Cpu.env t.machine.Machine.cpu in
@@ -1376,10 +1348,7 @@ let hw_env_equal t (target : Cpu.env) =
 
 let can_elide t stack = Fastpath.enabled () && hw_env_equal t (env_of_stack t stack)
 
-let note_elision t scope =
-  t.switch_elided <- t.switch_elided + 1;
-  let o = obs t in
-  if Obs.enabled o then Obs.incr o ~scope "switch_elided"
+let note_elision scope = Obs.incr_in scope Counter.Switch_elided
 
 let prolog t ~name ~site =
   Log.debug (fun m -> m "prolog %s (site %s)" name site);
@@ -1407,8 +1376,7 @@ let prolog t ~name ~site =
                  "switch into %s would escalate privileges (nested enclosures \
                   may only restrict)"
                  name));
-      t.switches <- t.switches + 1;
-      note_switch t enc.e_name;
+      note_switch enc.e_scope;
       let o = obs t in
       let sp =
         if Obs.enabled o then
@@ -1422,7 +1390,7 @@ let prolog t ~name ~site =
          if can_elide t (enc :: t.stack) then begin
            Clock.consume t.machine.Machine.clock Clock.Switch
              c.Costs.switch_elided;
-           note_elision t enc.e_name
+           note_elision enc.e_scope
          end
          else
            let (module B) = impl t in
@@ -1452,8 +1420,7 @@ let epilog t ~site =
   match t.stack with
   | [] -> fault t "epilog with no active enclosure"
   | top :: rest ->
-      t.switches <- t.switches + 1;
-      note_switch t top.e_name;
+      note_switch top.e_scope;
       let o = obs t in
       let sp =
         if Obs.enabled o then
@@ -1467,7 +1434,7 @@ let epilog t ~site =
          if can_elide t rest then begin
            Clock.consume t.machine.Machine.clock Clock.Switch
              c.Costs.switch_elided;
-           note_elision t top.e_name
+           note_elision top.e_scope
          end
          else
            let (module B) = impl t in
@@ -1535,8 +1502,7 @@ let transfer t ~addr ~len ~to_pkg ~site =
   check_site t site Image.Transfer;
   if not (Encl_pkg.Graph.mem t.graph to_pkg) then
     fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-  t.transfers <- t.transfers + 1;
-  (if Obs.enabled (obs t) then Obs.incr (obs t) "transfer");
+  Obs.incr (obs t) Counter.Transfer;
   (let w = witness t in
    if Witness.enabled w then Witness.transfer w ~scope:(scope_name t.stack));
   let sp =
@@ -1565,9 +1531,9 @@ let transfer t ~addr ~len ~to_pkg ~site =
    [mpk_recompute] re-tagging behave identically) — but with a single
    hardware update over the whole range: one pkey_mprotect syscall (MPK)
    or one page-table walk (VTX/LWC) instead of one per chunk. Counters
-   stay in lockstep with the slow path: [transfers] and the obs
-   "transfer" metric advance by the number of chunks. With the fast path
-   off (or a single chunk) this {e is} the loop of [transfer] calls. *)
+   match the slow path: "transfer" advances by the number of chunks.
+   With the fast path off (or a single chunk) this {e is} the loop of
+   [transfer] calls. *)
 let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
   if chunk <= 0 then invalid_arg "Litterbox.transfer_range: chunk must be > 0";
   if len <= 0 then invalid_arg "Litterbox.transfer_range: len must be > 0";
@@ -1583,18 +1549,14 @@ let transfer_range t ~addr ~len ~chunk ~to_pkg ~site =
     check_site t site Image.Transfer;
     if not (Encl_pkg.Graph.mem t.graph to_pkg) then
       fault t (Printf.sprintf "transfer to unknown package %s" to_pkg);
-    t.transfers <- t.transfers + n;
-    t.coalesced <- t.coalesced + n;
+    let o = obs t in
+    Obs.add o Counter.Transfer n;
+    Obs.add o Counter.Transfer_coalesced n;
     (let w = witness t in
      if Witness.enabled w then
        for _ = 1 to n do
          Witness.transfer w ~scope:(scope_name t.stack)
        done);
-    let o = obs t in
-    (if Obs.enabled o then begin
-       Obs.incr o ~by:n "transfer";
-       Obs.incr o ~by:n "transfer_coalesced"
-     end);
     let sp =
       if Obs.enabled o then
         Obs.span_enter o ~name:("transfer:" ^ to_pkg) ~category:Span.Transfer ()
@@ -1644,9 +1606,9 @@ let execute t env_ref ~site =
      | Some enc ->
          raise (Quarantined { enclosure = enc.e_name; faults = enc.e_faults })
      | None -> ());
-  t.switches <- t.switches + 1;
   let target_scope = scope_name env_ref in
-  note_switch t target_scope;
+  let scope = stack_scope t env_ref in
+  note_switch scope;
   let o = obs t in
   let sp =
     if Obs.enabled o then
@@ -1659,7 +1621,7 @@ let execute t env_ref ~site =
   (match
      if can_elide t env_ref then begin
        Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-       note_elision t target_scope
+       note_elision scope
      end
      else
        let (module B) = impl t in
@@ -1681,6 +1643,7 @@ let execute t env_ref ~site =
 let with_trusted t f =
   let saved = t.stack in
   let scope = scope_name saved in
+  let counted = stack_scope t saved in
   (let w = witness t in
    if Witness.enabled w && saved <> [] then Witness.trusted_call w ~scope);
   let o = obs t in
@@ -1700,12 +1663,11 @@ let with_trusted t f =
   in
   (if can_elide t [] then begin
      Clock.consume t.machine.Machine.clock Clock.Switch c.Costs.switch_elided;
-     note_elision t scope
+     note_elision counted
    end
    else Clock.consume t.machine.Machine.clock Clock.Switch switch_cost);
   Obs.span_exit o sp;
-  t.switches <- t.switches + 1;
-  note_switch t scope;
+  note_switch counted;
   set_stack t [];
   Fun.protect
     ~finally:(fun () ->
@@ -1718,12 +1680,11 @@ let with_trusted t f =
       (if can_elide t saved then begin
          Clock.consume t.machine.Machine.clock Clock.Switch
            c.Costs.switch_elided;
-         note_elision t scope
+         note_elision counted
        end
        else Clock.consume t.machine.Machine.clock Clock.Switch return_cost);
       Obs.span_exit o sp;
-      t.switches <- t.switches + 1;
-      note_switch t scope;
+      note_switch counted;
       set_stack t saved)
     f
 
@@ -1750,52 +1711,43 @@ let enclosure_deps t name =
 
 let policy_of t name =
   Option.map (fun e -> e.e_policy) (Hashtbl.find_opt t.encs name)
-let switch_count t = t.switches
-let switch_elided_count t = t.switch_elided
-let transfer_count t = t.transfers
-let transfer_coalesced_count t = t.coalesced
-let fault_count t = t.faults
+let count t c = Obs.total (obs t) c
+let switch_count t = count t Counter.Switch
+let switch_elided_count t = count t Counter.Switch_elided
+let transfer_count t = count t Counter.Transfer
+let transfer_coalesced_count t = count t Counter.Transfer_coalesced
+let fault_count t = count t Counter.Fault
 let fault_log t = t.fault_log
 let ring_drained_count t = K.ring_drained_count t.machine.Machine.kernel
 let ring_batches_count t = K.ring_batches_count t.machine.Machine.kernel
 let guest_denied_count t = t.denied_guest
 let vmexit_count t = match t.vtx with Some v -> Vtx.vmexits v | None -> 0
 
-let sfi_masked_access_count t =
-  match t.sfi with Some s -> Sfi.masked_accesses s | None -> 0
+let sfi_masked_access_count t = count t Counter.Sfi_masked_access
 
 let sfi_guard_fault_count t =
   match t.sfi with Some s -> Sfi.guard_faults s | None -> 0
 
 (* Tainted-boundary accounting (see {!Enclosure.Tainted}): the boundary
    layer reports each verification here so the counters live next to
-   the rest of the enforcement telemetry, with obs mirrors moved at the
-   same program point. *)
-let note_tainted_verified t =
-  t.tainted_verified <- t.tainted_verified + 1;
+   the rest of the enforcement telemetry. *)
+let note_tainted t ~verified =
   (let w = witness t in
    if Witness.enabled w then
-     Witness.tainted w ~scope:(scope_name t.stack) ~verified:true);
-  if Obs.enabled (obs t) then Obs.incr (obs t) "tainted_verified"
+     Witness.tainted w ~scope:(scope_name t.stack) ~verified);
+  Obs.incr (obs t)
+    (if verified then Counter.Tainted_verified else Counter.Tainted_rejected)
 
-let note_tainted_rejected t =
-  t.tainted_rejected <- t.tainted_rejected + 1;
-  (let w = witness t in
-   if Witness.enabled w then
-     Witness.tainted w ~scope:(scope_name t.stack) ~verified:false);
-  if Obs.enabled (obs t) then Obs.incr (obs t) "tainted_rejected"
-
-let tainted_verified_count t = t.tainted_verified
-let tainted_rejected_count t = t.tainted_rejected
+let note_tainted_verified t = note_tainted t ~verified:true
+let note_tainted_rejected t = note_tainted t ~verified:false
+let tainted_verified_count t = count t Counter.Tainted_verified
+let tainted_rejected_count t = count t Counter.Tainted_rejected
 
 (* Gate violations across the layers: forged environment writes and
    unregistered-gate entries (CPU), non-gate-origin syscall kills and
-   denied mm-shaping calls (kernel). The obs counter "gate_violation"
-   mirrors this sum — each layer increments it at the same point. *)
-let gate_violation_count t =
-  Cpu.gate_violation_count t.machine.Machine.cpu
-  + K.origin_kill_count t.machine.Machine.kernel
-  + K.mm_denied_count t.machine.Machine.kernel
+   denied mm-shaping calls (kernel) — each layer counts its own into
+   "gate_violation". *)
+let gate_violation_count t = count t Counter.Gate_violation
 
 (* ------------------------------------------------------------------ *)
 (* Quarantine control                                                  *)

@@ -235,22 +235,31 @@ val policy_of : t -> string -> Policy.t option
 (** The parsed policy the named enclosure is currently enforcing
     (after any {!set_policy_override}). *)
 
+(** {2 Counters}
+
+    Every [*_count] below reads the machine's counter registry
+    ({!Encl_obs.Counter}), which counts whether or not tracing is on;
+    the counter named in quotes is the key [metrics.json] reports. *)
+
 val switch_count : t -> int
+(** "switch" *)
 
 val switch_elided_count : t -> int
 (** How many of {!switch_count}'s switches took the elision fast path
     (target environment already installed; see {!Encl_sim.Fastpath}).
-    Always [<= switch_count]; 0 with the fast path disabled. Mirrored in
-    the obs "switch_elided" metric. *)
+    Always [<= switch_count]; 0 with the fast path disabled.
+    "switch_elided" *)
 
 val transfer_count : t -> int
+(** "transfer" *)
 
 val transfer_coalesced_count : t -> int
 (** How many of {!transfer_count}'s chunk transfers were batched by
-    {!transfer_range} into shared hardware updates. Mirrored in the obs
-    "transfer_coalesced" metric. *)
+    {!transfer_range} into shared hardware updates.
+    "transfer_coalesced" *)
 
 val fault_count : t -> int
+(** "fault" *)
 
 val ring_drained_count : t -> int
 val ring_batches_count : t -> int
@@ -259,16 +268,16 @@ val ring_batches_count : t -> int
 
 val guest_denied_count : t -> int
 (** Calls denied guest-side (VTX/LWC filter checks, direct or drained)
-    that therefore never reached the kernel's syscall counters. Counted
-    regardless of whether observability is enabled — trace cross-checks
-    use it to reconcile obs verdict totals with the kernel count. *)
+    that therefore never reached the kernel's syscall counters. Trace
+    checks use it to reconcile the verdict counters with the kernel
+    count. *)
 
 val vmexit_count : t -> int
 (** VM EXITs taken so far (VTX backend; 0 elsewhere). *)
 
 val sfi_masked_access_count : t -> int
 (** Instrumented loads/stores executed so far (SFI backend; 0
-    elsewhere). Mirrored in the obs "sfi_masked_access" metric. *)
+    elsewhere). "sfi_masked_access" *)
 
 val sfi_guard_fault_count : t -> int
 (** Masked accesses whose address escaped the sandbox and landed in a
@@ -278,8 +287,8 @@ val note_tainted_verified : t -> unit
 val note_tainted_rejected : t -> unit
 (** Called by the {!Enclosure.Tainted} boundary layer for each
     successful / failed verification of a tainted value, so the counts
-    sit with the rest of the enforcement telemetry (obs mirrors
-    "tainted_verified" / "tainted_rejected"). *)
+    sit with the rest of the enforcement telemetry ("tainted_verified" /
+    "tainted_rejected"). *)
 
 val tainted_verified_count : t -> int
 val tainted_rejected_count : t -> int
@@ -295,15 +304,15 @@ val gate_violation_count : t -> int
 (** Gate-hardening violations across the layers: forged environment
     writes and unregistered-gate entries (CPU call-gate integrity),
     syscalls killed by origin verification and mm-shaping calls denied
-    to enclosures (kernel). Mirrored 1:1 into the obs counter
-    ["gate_violation"]; zero on benign traffic. *)
+    to enclosures (kernel), each counted by its layer into
+    "gate_violation"; zero on benign traffic. *)
 
 val fault_log : t -> string list
 (** Root-cause traces of the faults seen so far, most recent first (the
     paper's LB_VTX "prints a trace of the root-cause"). Memory faults are
     annotated with the owning package of the offending address. Every
     fault — raised, CPU, or seccomp kill — contributes exactly one
-    entry, matching {!fault_count} and the obs ["fault"] total. *)
+    entry, so its length is {!fault_count}. *)
 
 (** {2 Quarantine}
 

@@ -21,12 +21,12 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
   let clock = Clock.create () in
   let trusted_pt = Pagetable.create ~name:"trusted" in
   let trusted_env = Cpu.trusted_env trusted_pt in
-  let cpu = Cpu.create ~phys ~clock ~costs trusted_env in
+  let obs = Encl_obs.Obs.create ~now:(fun () -> Clock.now clock) () in
+  let cpu = Cpu.create ~phys ~clock ~costs ~obs trusted_env in
   let mm = Encl_kernel.Mm.create ~phys ~base:Encl_elf.Linker.heap_base in
   Encl_kernel.Mm.add_pt mm trusted_pt;
   let vfs = Encl_kernel.Vfs.create () in
   let net = Encl_kernel.Net.create () in
-  let obs = Encl_obs.Obs.create ~now:(fun () -> Clock.now clock) () in
   let kernel =
     Encl_kernel.Kernel.create ~clock ~costs ~cpu ~trusted_env ~vfs ~net ~mm ~obs
   in
@@ -35,22 +35,14 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
      (nothing armed, `active` false) unless a chaos plan arms it. *)
   let inject = Encl_fault.Fault.create () in
   (* The machine's own trusted excursions (loader, galloc) are a vetted
-     gate site; gate violations mirror into the obs counter so
-     trace_dump can reconcile them against the runtime's tally. *)
+     gate site. *)
   Cpu.register_gate cpu "machine.trusted";
-  Cpu.set_gate_violation_hook cpu
-    (Some
-       (fun _reason ->
-         if Encl_obs.Obs.enabled obs then
-           Encl_obs.Obs.incr obs "gate_violation"));
   Cpu.set_injector cpu inject;
   Encl_kernel.Kernel.set_injector kernel inject;
   Encl_kernel.Net.set_injector net inject;
   Encl_fault.Fault.on_fire inject (fun ~point ~env:_ ->
-      if Encl_obs.Obs.enabled obs then begin
-        Encl_obs.Obs.incr obs "inject";
-        Encl_obs.Obs.emit obs (Encl_obs.Event.Inject { point })
-      end);
+      Encl_obs.Obs.incr obs Encl_obs.Counter.Inject;
+      Encl_obs.Obs.emit obs (Encl_obs.Event.Inject { point }));
   (* Attribution hooks, attached only when the sink is enabled at
      creation: the clock feeds every tick into the ledger, and CPU fault
      delivery leaves an instant span. Disabled machines keep both hooks
@@ -95,14 +87,14 @@ let create ?(costs = Costs.default) ?(cores = 1) () =
 
 (* The guest-side half of the bytes_copied ledger: buffer-to-buffer
    copies performed by guest code (Gbuf.blit response assembly, pylike
-   localcopy). Mirrored into obs at the same program point, like the
-   kernel's half. Zero simulated time — the copy's cost is charged by
-   the CPU accesses that perform it. *)
+   localcopy). Zero simulated time — the copy's cost is charged by the
+   CPU accesses that perform it. The one counter kept in a record
+   field as well as in the registry ("bytes_copied.app"): the
+   benchmark harness reads [t.bytes_copied] as a field. *)
 let note_copied t n =
   if n > 0 then begin
     t.bytes_copied <- t.bytes_copied + n;
-    if Encl_obs.Obs.enabled t.obs then
-      Encl_obs.Obs.incr t.obs ~by:n "bytes_copied.app"
+    Encl_obs.Obs.add t.obs Encl_obs.Counter.Bytes_copied_app n
   end
 
 let with_trusted t f =

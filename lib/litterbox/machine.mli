@@ -28,13 +28,15 @@ type t = {
   inject : Encl_fault.Fault.t;
       (** The machine-wide chaos injector. CPU, kernel and network hook
           points are registered at creation; inert until a plan is armed.
-          Firings are mirrored into [obs] (counter ["inject"], event
-          [Inject]) when the sink is enabled. *)
+          Firings are counted in [obs] (counter ["inject"]) and, when
+          the sink is enabled, recorded as [Inject] events. *)
   mutable bytes_copied : int;
       (** Guest-side bytes_copied ledger: buffer-to-buffer copies guest
           code performs (response assembly, pylike localcopy). The
           kernel keeps its own half for user-memory passes. Update via
-          {!note_copied} so the obs mirror stays exact. *)
+          {!note_copied}, which also counts it in the registry as
+          ["bytes_copied.app"]. The one counter that is also a record
+          field: the benchmark harness reads it as one. *)
 }
 
 val create : ?costs:Costs.t -> ?cores:int -> unit -> t
@@ -42,8 +44,8 @@ val create : ?costs:Costs.t -> ?cores:int -> unit -> t
     byte-for-byte the old single-core one. *)
 
 val note_copied : t -> int -> unit
-(** Charge [n] bytes to the guest-side copy ledger, mirrored into obs
-    as ["bytes_copied.app"]. Free of simulated time (the copy itself
+(** Charge [n] bytes to the guest-side copy ledger (the field and the
+    ["bytes_copied.app"] counter). Free of simulated time (the copy itself
     pays through its CPU accesses). *)
 
 val with_trusted : t -> (unit -> 'a) -> 'a

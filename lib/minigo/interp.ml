@@ -233,7 +233,9 @@ and builtin ctx ~pkg:_ env name argv =
       Buffer.add_string ctx.out (value_to_string v);
       Buffer.add_char ctx.out '\n';
       VUnit
-  | "alloc", [ VInt n ] -> VBuf (Runtime.alloc ctx.rt n)
+  | "alloc", [ VInt n ] ->
+      if n < 1 then err "alloc: size must be positive, got %d" n
+      else VBuf (Runtime.alloc ctx.rt n)
   | "len", [ VBuf b ] -> VInt b.Gbuf.len
   | "len", [ VStr s ] -> VInt (String.length s)
   | "get", [ b; i ] -> VInt (Gbuf.get m (as_buf "get" b) (as_int "get" i))

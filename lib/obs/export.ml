@@ -478,7 +478,9 @@ let metrics_json obs =
         ] )
   in
   let totals =
-    List.map (fun n -> (n, Int (Metrics.total m n))) (Metrics.counter_names m)
+    List.map
+      (fun c -> (Counter.name c, Int (Metrics.total m c)))
+      (Metrics.counter_names m)
   in
   let spans = Obs.spans obs in
   let attrib = Obs.attribution obs in
@@ -676,15 +678,19 @@ let summary obs =
     in
     Buffer.add_string buf (Printf.sprintf "%-*s" scope_w "scope");
     List.iter
-      (fun n -> Buffer.add_string buf (Printf.sprintf " %*s" (max 8 (String.length n)) n))
+      (fun c ->
+        let n = Counter.name c in
+        Buffer.add_string buf (Printf.sprintf " %*s" (max 8 (String.length n)) n))
       names;
     Buffer.add_char buf '\n';
     let row scope lookup =
       Buffer.add_string buf (Printf.sprintf "%-*s" scope_w scope);
       List.iter
-        (fun n ->
+        (fun c ->
           Buffer.add_string buf
-            (Printf.sprintf " %*d" (max 8 (String.length n)) (lookup n)))
+            (Printf.sprintf " %*d"
+               (max 8 (String.length (Counter.name c)))
+               (lookup c)))
         names;
       Buffer.add_char buf '\n'
     in

@@ -45,8 +45,8 @@ val metrics_json : Obs.t -> string
     span accounting (totals, drops, per-category close counts), the
     attribution ledger (elapsed vs attributed ns, conservation verdict,
     per-cell breakdown), per-scope counters and histograms, and
-    cross-scope [totals] (so [totals.switch]/[totals.fault] can be
-    compared with [Litterbox.switch_count]/[fault_count] exactly). *)
+    cross-scope [totals] (the registry the layers' [*_count] accessors
+    read, summed over scopes). *)
 
 val witness_json : Obs.t -> string
 (** The standalone witness artifact ([witness.json]): per-scope

@@ -1,80 +1,96 @@
-type scope_data = {
-  counters : (string, int ref) Hashtbl.t;
+type scope = {
+  name : string;
+  context : string option;
+  user_sig : string;
+  counts : int array;  (** indexed by {!Counter.index} *)
   hists : (string, Hist.t) Hashtbl.t;
+  mutable first_use : int;  (** rank in first-use order; -1 = unused *)
+  uses : int ref;  (** the registry's next rank, shared by its scopes *)
 }
 
 type t = {
-  by_scope : (string, scope_data) Hashtbl.t;
-  mutable order : string list;  (** first-use order, reversed *)
+  by_name : (string, scope) Hashtbl.t;
+  uses : int ref;
 }
 
-let create () = { by_scope = Hashtbl.create 16; order = [] }
+let new_scope by_name uses name =
+  let s =
+    {
+      name;
+      context = (if name = "trusted" then None else Some name);
+      user_sig = name ^ ";user";
+      counts = Array.make Counter.count 0;
+      hists = Hashtbl.create 8;
+      first_use = -1;
+      uses;
+    }
+  in
+  Hashtbl.replace by_name name s;
+  s
 
-let scope_data t scope =
-  match Hashtbl.find_opt t.by_scope scope with
-  | Some d -> d
-  | None ->
-      let d = { counters = Hashtbl.create 16; hists = Hashtbl.create 8 } in
-      Hashtbl.replace t.by_scope scope d;
-      t.order <- scope :: t.order;
-      d
+let create () =
+  { by_name = Hashtbl.create 16; uses = ref 0 }
 
-let incr t ~scope ?(by = 1) name =
-  let d = scope_data t scope in
-  match Hashtbl.find_opt d.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace d.counters name (ref by)
+let scope t name =
+  match Hashtbl.find_opt t.by_name name with
+  | Some s -> s
+  | None -> new_scope t.by_name t.uses name
 
-let counter t ~scope name =
-  match Hashtbl.find_opt t.by_scope scope with
-  | None -> 0
-  | Some d ->
-      Option.value ~default:0
-        (Option.map ( ! ) (Hashtbl.find_opt d.counters name))
+let scope_name s = s.name
+let context s = s.context
+let user_sig s = s.user_sig
 
-let observe t ~scope name v =
-  let d = scope_data t scope in
+let mark_used (s : scope) =
+  s.first_use <- !(s.uses);
+  incr s.uses
+
+let[@inline] add s c n =
+  if s.first_use < 0 then mark_used s;
+  let i = Counter.index c in
+  s.counts.(i) <- s.counts.(i) + n
+
+let[@inline] incr s c = add s c 1
+
+let observe s name v =
+  if s.first_use < 0 then mark_used s;
   let h =
-    match Hashtbl.find_opt d.hists name with
+    match Hashtbl.find_opt s.hists name with
     | Some h -> h
     | None ->
         let h = Hist.create () in
-        Hashtbl.replace d.hists name h;
+        Hashtbl.replace s.hists name h;
         h
   in
   Hist.record h v
 
-let hist t ~scope name =
-  Option.bind (Hashtbl.find_opt t.by_scope scope) (fun d ->
-      Hashtbl.find_opt d.hists name)
+let scopes t =
+  Hashtbl.fold (fun _ s acc -> if s.first_use < 0 then acc else s :: acc)
+    t.by_name []
+  |> List.sort (fun a b -> compare a.first_use b.first_use)
+  |> List.map (fun s -> s.name)
 
-let scopes t = List.rev t.order
+let counter t ~scope c =
+  match Hashtbl.find_opt t.by_name scope with
+  | Some s -> s.counts.(Counter.index c)
+  | None -> 0
 
-let total t name =
-  List.fold_left (fun acc scope -> acc + counter t ~scope name) 0 (scopes t)
-
-let sorted_bindings tbl value =
-  Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+let total t c =
+  Hashtbl.fold (fun _ s acc -> acc + s.counts.(Counter.index c)) t.by_name 0
 
 let counters t ~scope =
-  match Hashtbl.find_opt t.by_scope scope with
-  | None -> []
-  | Some d -> sorted_bindings d.counters ( ! )
+  List.filter_map
+    (fun c ->
+      let v = counter t ~scope c in
+      if v = 0 then None else Some (Counter.name c, v))
+    Counter.by_name
 
 let hists t ~scope =
-  match Hashtbl.find_opt t.by_scope scope with
+  match Hashtbl.find_opt t.by_name scope with
   | None -> []
-  | Some d -> sorted_bindings d.hists Fun.id
+  | Some s ->
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.hists []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let counter_names t =
-  let names = Hashtbl.create 16 in
-  List.iter
-    (fun scope ->
-      List.iter (fun (n, _) -> Hashtbl.replace names n ()) (counters t ~scope))
-    (scopes t);
-  Hashtbl.fold (fun n () acc -> n :: acc) names [] |> List.sort compare
+let counter_names t = List.filter (fun c -> total t c <> 0) Counter.by_name
 
-let clear t =
-  Hashtbl.reset t.by_scope;
-  t.order <- []
+let clear_hists t = Hashtbl.iter (fun _ s -> Hashtbl.reset s.hists) t.by_name

@@ -7,28 +7,27 @@ type t = {
   witness : Witness.t;
   mutable enabled : bool;
   mutable backend : string;
-  mutable context : string option;
-  mutable user_sig : string;
-      (** memoized ["<scope>;user"] for ticks outside any span *)
+  trusted : Metrics.scope;
+  mutable cur : Metrics.scope;  (** the current context's scope *)
 }
 
 let default_capacity = 65_536
 let default_enabled = ref false
 
-let trusted_scope = "trusted"
-
 let create ?(capacity = default_capacity) ?enabled ~now () =
+  let metrics = Metrics.create () in
+  let trusted = Metrics.scope metrics "trusted" in
   {
     now;
     ring = Ring.create ~capacity;
-    metrics = Metrics.create ();
+    metrics;
     spans = Span.create ~capacity ~now ();
     attrib = Attrib.create ~now ();
     witness = Witness.create ();
     enabled = (match enabled with Some e -> e | None -> !default_enabled);
     backend = "baseline";
-    context = None;
-    user_sig = trusted_scope ^ ";user";
+    trusted;
+    cur = trusted;
   }
 
 let enabled t = t.enabled
@@ -37,16 +36,16 @@ let disable t = t.enabled <- false
 let set_backend t b = t.backend <- b
 let backend t = t.backend
 
-let set_context t ctx =
-  t.context <- ctx;
-  t.user_sig <-
-    (match ctx with Some e -> e ^ ";user" | None -> trusted_scope ^ ";user")
+type scope = Metrics.scope
 
-let context t = t.context
+let scope t name = Metrics.scope t.metrics name
+let trusted t = t.trusted
+let set_context t s = t.cur <- s
+let context t = Metrics.context t.cur
 
 let scope_of t = function
   | Some s -> s
-  | None -> ( match t.context with Some e -> e | None -> trusted_scope)
+  | None -> Metrics.scope_name t.cur
 
 let emit t ?(dur = 0) kind =
   if t.enabled then
@@ -55,15 +54,21 @@ let emit t ?(dur = 0) kind =
         Event.ts = t.now () - dur;
         dur;
         backend = t.backend;
-        enclosure = t.context;
+        enclosure = Metrics.context t.cur;
         kind;
       }
 
-let incr t ?scope ?by name =
-  if t.enabled then Metrics.incr t.metrics ~scope:(scope_of t scope) ?by name
+(* Counters are always on: one array increment in the current scope. *)
+let[@inline] incr t c = Metrics.incr t.cur c
+let[@inline] add t c n = Metrics.add t.cur c n
+let incr_in = Metrics.incr
+let total t c = Metrics.total t.metrics c
 
 let observe t ?scope name v =
-  if t.enabled then Metrics.observe t.metrics ~scope:(scope_of t scope) name v
+  if t.enabled then
+    Metrics.observe
+      (match scope with Some s -> Metrics.scope t.metrics s | None -> t.cur)
+      name v
 
 (* Spans: callers hold the returned id and must exit it on every path.
    Disabled sink => [-1], which [span_exit] ignores, so instrumented
@@ -89,9 +94,8 @@ let clock_tick ?(core = 0) t ns =
           ~category:(Span.category_name sp.Span.category)
           ~stack:sig_ ns
     | None ->
-        let scope = scope_of t None in
-        Attrib.charge ~core t.attrib ~scope ~category:"user" ~stack:t.user_sig
-          ns
+        Attrib.charge ~core t.attrib ~scope:(Metrics.scope_name t.cur)
+          ~category:"user" ~stack:(Metrics.user_sig t.cur) ns
 
 let witness t = t.witness
 
@@ -105,7 +109,7 @@ let capacity t = Ring.capacity t.ring
 
 let reset t =
   Ring.clear t.ring;
-  Metrics.clear t.metrics;
+  Metrics.clear_hists t.metrics;
   Span.clear t.spans;
   Attrib.clear t.attrib;
   Witness.reset t.witness

@@ -1,9 +1,14 @@
 (** The observability sink: one per simulated machine.
 
-    Always compiled in, {e disabled by default}: every emission point
-    checks {!enabled} first and does nothing (no clock cost, no
-    allocation) when the sink is off, so benchmark numbers with
-    observability disabled are identical to a build without it.
+    It owns the machine's counter registry ({!Metrics}), which is
+    {e always on}: a counter bump is one array increment in the current
+    scope, and the layers' [*_count] accessors read it back — it is the
+    only store of every counter in {!Counter}. Everything else (events,
+    spans, histograms, attribution, the witness) is {e disabled by
+    default}: those emission points check {!enabled} first and do
+    nothing (no clock cost, no allocation) when the sink is off, so
+    benchmark numbers with observability disabled are identical to a
+    build without it.
 
     Timestamps come from the caller-supplied [now] closure, which reads
     the {e simulated} clock — traces of deterministic workloads are
@@ -31,12 +36,32 @@ val set_backend : t -> string -> unit
 
 val backend : t -> string
 
-val set_context : t -> string option -> unit
-(** The innermost active enclosure; maintained by LitterBox on every
-    environment switch, stamped onto events and used as the default
-    metric scope. *)
+type scope = Metrics.scope
+
+val scope : t -> string -> scope
+(** The named scope's record; resolve it once and keep it. *)
+
+val trusted : t -> scope
+(** The ["trusted"] scope: work done outside any enclosure. *)
+
+val set_context : t -> scope -> unit
+(** The innermost active enclosure's scope; maintained by LitterBox on
+    every environment switch, stamped onto events and used as the
+    default metric scope. Starts at {!trusted}. *)
 
 val context : t -> string option
+(** [None] while the context is {!trusted}. *)
+
+(** {2 Counters (always on)} *)
+
+val incr : t -> Counter.t -> unit
+(** Bump a counter in the current scope. *)
+
+val add : t -> Counter.t -> int -> unit
+val incr_in : scope -> Counter.t -> unit
+
+val total : t -> Counter.t -> int
+(** The counter summed over every scope: what the accessors report. *)
 
 (** {2 Emission (no-ops while disabled)} *)
 
@@ -44,12 +69,9 @@ val emit : t -> ?dur:int -> Event.kind -> unit
 (** Record an event that {e ended} now and took [dur] simulated ns
     (default 0: an instant event). *)
 
-val incr : t -> ?scope:string -> ?by:int -> string -> unit
-(** Bump a counter. [scope] defaults to the current context, or
-    ["trusted"] outside any enclosure. *)
-
 val observe : t -> ?scope:string -> string -> int -> unit
-(** Record a latency sample into a per-scope histogram. *)
+(** Record a latency sample into a per-scope histogram. [scope]
+    defaults to the current context. *)
 
 (** {2 Spans and attribution} *)
 
@@ -96,6 +118,8 @@ val dropped_events : t -> int
 val capacity : t -> int
 
 val reset : t -> unit
-(** Drop all events, metrics, spans, and attribution (the ledger
-    re-epochs at the current clock value); keeps
-    enabled/backend/context. *)
+(** Drop all events, spans, histograms and attribution (the ledger
+    re-epochs at the current clock value) and the witness. Counters are
+    not zeroed: the [*_count] accessors read them for the machine's
+    lifetime, so diff two readings to count a window. Keeps
+    enabled/backend/context and every resolved {!scope}. *)

@@ -6,6 +6,8 @@ module Mm = Encl_kernel.Mm
 module Objfile = Encl_elf.Objfile
 module Linker = Encl_elf.Linker
 module Section = Encl_elf.Section
+module Obs = Encl_obs.Obs
+module Counter = Encl_obs.Counter
 
 type refcount_mode = Conservative | Decoupled
 
@@ -27,6 +29,7 @@ type modul = {
   mutable m_arena_used : int;
   mutable m_gc_head : int;  (** address of first tracked object, 0 = none *)
   mutable m_gc_tail : int;
+  m_scope : Obs.scope;  (** the module's metric scope, resolved at import *)
 }
 
 type t = {
@@ -37,7 +40,6 @@ type t = {
   modules : (string, modul) Hashtbl.t;
   mutable import_order : string list;
   declared : (string, unit) Hashtbl.t;  (** registered enclosures *)
-  mutable switches : int;
   young : (int, pyobj) Hashtbl.t;  (** generation 0, tracked by address *)
   old : (int, pyobj) Hashtbl.t;  (** promoted survivors *)
   side_refcounts : (int, int) Hashtbl.t;
@@ -46,19 +48,15 @@ type t = {
           never needs an environment switch. *)
   mutable allocs_since_gc : int;
   mutable collections : int;
-  mutable copy_elided : int;
-      (** localcopy calls satisfied by a refcounted read-only share of
-          the source span instead of a deep copy (see {!localcopy}) *)
   shares : (int, pyobj list) Hashtbl.t;
       (** source address -> elided shares not yet materialized; a write
           to either side detaches them (see {!materialize_share}) *)
-  mutable cow_materialized : int;
-      (** elided shares that later turned into the deferred deep copy *)
 }
 
 and pyobj = {
   mutable o_addr : int;
   mutable o_module : string;
+  mutable o_home : modul;  (** [o_module]'s record *)
   o_len : int;
   mutable o_cow : cow option;
 }
@@ -102,15 +100,12 @@ let boot ?backend ?gc_threshold ~mode () =
               modules = Hashtbl.create 16;
               import_order = [];
               declared = Hashtbl.create 8;
-              switches = 0;
               young = Hashtbl.create 4096;
               old = Hashtbl.create 4096;
               side_refcounts = Hashtbl.create 4096;
               allocs_since_gc = 0;
               collections = 0;
-              copy_elided = 0;
               shares = Hashtbl.create 64;
-              cow_materialized = 0;
             }
           in
           (* __main__'s own object arena. *)
@@ -127,6 +122,7 @@ let boot ?backend ?gc_threshold ~mode () =
               m_arena_used = 0;
               m_gc_head = 0;
               m_gc_tail = 0;
+              m_scope = Obs.scope machine.Machine.obs main_module;
             };
           (match lb with
           | Some lb ->
@@ -192,6 +188,7 @@ let import_module t ~name ?(imports = []) ?(arena_bytes = default_arena_bytes) ?
                 m_arena_used = 0;
                 m_gc_head = 0;
                 m_gc_tail = 0;
+                m_scope = Obs.scope t.machine.Machine.obs name;
               };
             t.import_order <- name :: t.import_order;
             (match body with Some f -> f t | None -> ());
@@ -209,32 +206,27 @@ let charge t cat ns = Clock.consume t.machine.Machine.clock cat ns
    the object header in guest memory, and under an enclosure that sees
    the page read-only it needs a controlled switch to the trusted
    environment and back. Decoupled mode never calls this: its metadata
-   lives in {!t.side_refcounts}, outside the protected pages. *)
-let note_excursion t ~modul name =
-  let obs = t.machine.Machine.obs in
-  if Encl_obs.Obs.enabled obs then Encl_obs.Obs.incr obs ~scope:modul name
-
-let header_write t ~modul f =
+   lives in {!t.side_refcounts}, outside the protected pages. One
+   excursion is two switches (in and out); {!trusted_switches} counts
+   them from these counters. *)
+let header_write t m f =
   charge t Clock.Gc refcount_op_ns;
   match t.lb with
   | None -> f ()
   | Some lb -> (
-      match Lb.current_access lb modul with
+      match Lb.current_access lb m.m_name with
       | Some Types.R | Some Types.U ->
-          (* One controlled excursion = two switches (in and out). *)
-          t.switches <- t.switches + 2;
-          note_excursion t ~modul "refcount_excursion";
+          Obs.incr_in m.m_scope Counter.Refcount_excursion;
           Lb.with_trusted lb f
       | Some Types.RW | Some Types.RWX | None -> f ())
 
-let header_read t ~modul f =
+let header_read t m f =
   match t.lb with
   | None -> f ()
   | Some lb -> (
-      match Lb.current_access lb modul with
+      match Lb.current_access lb m.m_name with
       | Some Types.U ->
-          t.switches <- t.switches + 2;
-          note_excursion t ~modul "refcount_excursion";
+          Obs.incr_in m.m_scope Counter.Refcount_excursion;
           Lb.with_trusted lb f
       | Some Types.R | Some Types.RW | Some Types.RWX | None -> f ())
 
@@ -285,8 +277,7 @@ let sweep t ~major =
       (* GC bookkeeping is outside the protected pages too. *)
       work ()
   | Some lb, Conservative ->
-      t.switches <- t.switches + 2;
-      note_excursion t ~modul:"trusted" "gc_excursion";
+      Obs.incr_in (Obs.trusted t.machine.Machine.obs) Counter.Gc_excursion;
       Lb.with_trusted lb work);
   !freed
 
@@ -310,12 +301,14 @@ let alloc_obj t ~modul ~len =
     failwith (Printf.sprintf "Pyrt: module %s object arena exhausted" modul);
   let addr = m.m_arena_addr + m.m_arena_used in
   m.m_arena_used <- m.m_arena_used + total;
-  let obj = { o_addr = addr; o_module = modul; o_len = len; o_cow = None } in
+  let obj =
+    { o_addr = addr; o_module = modul; o_home = m; o_len = len; o_cow = None }
+  in
   (match t.mode with
   | Conservative ->
       (* Initialize the co-located header and link the object on the
          module's embedded GC list. *)
-      header_write t ~modul (fun () ->
+      header_write t m (fun () ->
           Cpu.write64 (cpu t) addr 1L;
           Cpu.write64 (cpu t) (addr + 8) 0L;
           if m.m_gc_tail <> 0 then
@@ -332,7 +325,7 @@ let refcount t obj =
   match t.mode with
   | Decoupled -> side_rc t obj
   | Conservative ->
-      header_read t ~modul:obj.o_module (fun () ->
+      header_read t obj.o_home (fun () ->
           Int64.to_int (Cpu.read64 (cpu t) obj.o_addr))
 
 let incref t obj =
@@ -341,7 +334,7 @@ let incref t obj =
       charge t Clock.Gc refcount_op_ns;
       Hashtbl.replace t.side_refcounts obj.o_addr (side_rc t obj + 1)
   | Conservative ->
-      header_write t ~modul:obj.o_module (fun () ->
+      header_write t obj.o_home (fun () ->
           let v = Cpu.read64 (cpu t) obj.o_addr in
           Cpu.write64 (cpu t) obj.o_addr (Int64.add v 1L))
 
@@ -353,7 +346,7 @@ let decref t obj =
       if v <= 0 then invalid_arg "Pyrt.decref: refcount underflow";
       Hashtbl.replace t.side_refcounts obj.o_addr (v - 1)
   | Conservative ->
-      header_write t ~modul:obj.o_module (fun () ->
+      header_write t obj.o_home (fun () ->
           let v = Cpu.read64 (cpu t) obj.o_addr in
           if v <= 0L then invalid_arg "Pyrt.decref: refcount underflow";
           Cpu.write64 (cpu t) obj.o_addr (Int64.sub v 1L))
@@ -386,11 +379,9 @@ let materialize_share t share =
       Cpu.write_bytes (cpu t) ~addr:(priv.o_addr + header_bytes) data;
       share.o_addr <- priv.o_addr;
       share.o_module <- priv.o_module;
+      share.o_home <- priv.o_home;
       share.o_cow <- None;
-      t.cow_materialized <- t.cow_materialized + 1;
-      (let obs = t.machine.Machine.obs in
-       if Encl_obs.Obs.enabled obs then
-         Encl_obs.Obs.incr obs "cow_materialized");
+      Obs.incr t.machine.Machine.obs Counter.Cow_materialized;
       decref t cow_src
 
 let write_payload t obj data =
@@ -426,9 +417,7 @@ let localcopy t obj ~dst_module =
     | Some lb -> Lb.current_access lb obj.o_module = Some Types.R
   in
   if elide then begin
-    t.copy_elided <- t.copy_elided + 1;
-    (let obs = t.machine.Machine.obs in
-     if Encl_obs.Obs.enabled obs then Encl_obs.Obs.incr obs "copy_elided");
+    Obs.incr t.machine.Machine.obs Counter.Copy_elided;
     (* The share keeps the source alive until released or
        materialized. *)
     incref t obj;
@@ -436,6 +425,7 @@ let localcopy t obj ~dst_module =
       {
         o_addr = obj.o_addr;
         o_module = obj.o_module;
+        o_home = obj.o_home;
         o_len = obj.o_len;
         o_cow = Some { cow_src = obj; cow_dst = dst_module };
       }
@@ -483,6 +473,10 @@ let with_enclosure t ~name ~owner ~deps ~policy body =
               Lb.prolog lb ~name ~site;
               Fun.protect ~finally:(fun () -> Lb.epilog lb ~site) body))
 
-let trusted_switches t = t.switches
-let copy_elided_count t = t.copy_elided
-let cow_materialized_count t = t.cow_materialized
+let count t c = Obs.total t.machine.Machine.obs c
+
+let trusted_switches t =
+  2 * (count t Counter.Refcount_excursion + count t Counter.Gc_excursion)
+
+let copy_elided_count t = count t Counter.Copy_elided
+let cow_materialized_count t = count t Counter.Cow_materialized

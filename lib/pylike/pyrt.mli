@@ -56,16 +56,20 @@ val modules : t -> string list
 
 (** {2 Objects} *)
 
+type modul
+(** An imported module's arenas and metric scope. *)
+
 type pyobj = {
   mutable o_addr : int;
   mutable o_module : string;
+  mutable o_home : modul;  (** [o_module]'s record *)
   o_len : int;
   mutable o_cow : cow option;
 }
 (** Header: 8 bytes of refcount, 8 bytes of GC link; payload follows.
     [o_cow = Some _] marks an elided {!localcopy} share: the handle
     aliases the source span until a write to either side materializes
-    the deferred private copy, at which point [o_addr]/[o_module]
+    the deferred private copy, at which point [o_addr]/[o_module]/[o_home]
     re-point at it in place. *)
 
 and cow = { cow_src : pyobj; cow_dst : string }
@@ -131,8 +135,8 @@ val trusted_switches : t -> int
 
 val copy_elided_count : t -> int
 (** [localcopy] calls satisfied by a copy-on-write share instead of an
-    eager deep copy (mirrored into obs as ["copy_elided"]). *)
+    eager deep copy (counter ["copy_elided"]). *)
 
 val cow_materialized_count : t -> int
 (** Elided shares that a later write turned into the deferred deep copy
-    (mirrored into obs as ["cow_materialized"]). *)
+    (counter ["cow_materialized"]). *)

@@ -50,11 +50,10 @@ type t = {
      kernel's copy gate. *)
   gates : (string, unit) Hashtbl.t;
   mutable gate_depth : int;
-  mutable gate_violations : int;
-  mutable on_gate_violation : (string -> unit) option;
+  obs : Encl_obs.Obs.t;  (** counts gate violations *)
 }
 
-let create ~phys ~clock ~costs env =
+let create ~phys ~clock ~costs ~obs env =
   {
     phys;
     clock;
@@ -66,8 +65,7 @@ let create ~phys ~clock ~costs env =
     on_access = None;
     gates = Hashtbl.create 8;
     gate_depth = 0;
-    gate_violations = 0;
-    on_gate_violation = None;
+    obs;
   }
 
 let set_fault_hook t f = t.on_fault <- f
@@ -118,12 +116,8 @@ let untrusted_label label =
 
 let register_gate t name = Hashtbl.replace t.gates name ()
 let in_gate t = t.gate_depth > 0
-let gate_violation_count t = t.gate_violations
-let set_gate_violation_hook t f = t.on_gate_violation <- f
-
 let gate_violation t reason =
-  t.gate_violations <- t.gate_violations + 1;
-  (match t.on_gate_violation with None -> () | Some hook -> hook reason);
+  Encl_obs.Obs.incr t.obs Encl_obs.Counter.Gate_violation;
   fault t Exec 0 reason
 
 let with_gate t ~name f =

@@ -50,7 +50,11 @@ val trusted_env : Pagetable.t -> env
 
 type t
 
-val create : phys:Phys.t -> clock:Clock.t -> costs:Costs.t -> env -> t
+val create :
+  phys:Phys.t -> clock:Clock.t -> costs:Costs.t -> obs:Encl_obs.Obs.t -> env -> t
+(** [obs] is the machine's sink; gate violations are counted there
+    ([Counter.Gate_violation]). *)
+
 val phys : t -> Phys.t
 val clock : t -> Clock.t
 val costs : t -> Costs.t
@@ -99,14 +103,6 @@ val with_gate : t -> name:string -> (unit -> 'a) -> 'a
 val in_gate : t -> bool
 (** Is execution currently inside a registered gate? The kernel's
     syscall-origin check consults this at trap time. *)
-
-val gate_violation_count : t -> int
-(** Forged environment writes and unregistered-gate entries observed. *)
-
-val set_gate_violation_hook : t -> (string -> unit) option -> unit
-(** Observer called (before the fault is raised) on each gate
-    violation; the machine mirrors these into the obs counter
-    ["gate_violation"]. Must not raise. *)
 
 val tlb : t -> Tlb.t
 (** The {e current core's} translation cache (statistics only; see

@@ -19,27 +19,15 @@
 type t = {
   clock : Clock.t;
   costs : Costs.t;
-  mutable masked_accesses : int;
+  obs : Encl_obs.Obs.t;  (** counts masked accesses *)
   mutable guard_faults : int;
   mutable switches : int;
-  mutable observer : (unit -> unit) option;
-      (** called once per masked access, after the counter moves — the
-          obs mirror stays in lockstep with {!masked_accesses} *)
 }
 
-let create ~clock ~costs =
+let create ~clock ~costs ~obs =
   (* Instrumentation is ahead-of-time (compiler/loader work): unlike
      LB_VTX's kvm_setup there is nothing to pay at boot. *)
-  {
-    clock;
-    costs;
-    masked_accesses = 0;
-    guard_faults = 0;
-    switches = 0;
-    observer = None;
-  }
-
-let set_observer t f = t.observer <- f
+  { clock; costs; obs; guard_faults = 0; switches = 0 }
 
 (* One instrumented load/store: charge the mask sequence, count it,
    and report whether the masked address stayed inside the sandbox.
@@ -47,9 +35,8 @@ let set_observer t f = t.observer <- f
    fault. The cost is charged either way: the mask runs before the
    outcome is known. *)
 let masked_access t ~allowed =
-  t.masked_accesses <- t.masked_accesses + 1;
   Clock.consume t.clock Clock.Access t.costs.Costs.sfi_mask_access;
-  (match t.observer with None -> () | Some f -> f ());
+  Encl_obs.Obs.incr t.obs Encl_obs.Counter.Sfi_masked_access;
   if not allowed then t.guard_faults <- t.guard_faults + 1;
   allowed
 
@@ -58,6 +45,5 @@ let switch t =
   t.switches <- t.switches + 1;
   Clock.consume t.clock Clock.Switch t.costs.Costs.sfi_switch
 
-let masked_accesses t = t.masked_accesses
 let guard_faults t = t.guard_faults
 let switches t = t.switches

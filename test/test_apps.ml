@@ -15,6 +15,8 @@ module Legacy = Encl_attack.Legacy
 module Deps = Encl_apps.Deps
 module Backend = Encl_litterbox.Backend
 module Cli = Encl_cli.Cli
+module K = Encl_kernel.Kernel
+module Sched = Encl_golike.Sched
 
 (* ------------------------------------------------------------------ *)
 (* Minidb *)
@@ -515,6 +517,25 @@ let typed_req_per_sec =
 let registry_names =
   List.map (fun (e : Scenarios.entry) -> e.name) Scenarios.registry
 
+(* Every counter accessor, read after a scenario run. *)
+let accessor_values (o : Scenarios.outcome) =
+  let k = (Runtime.machine o.rt).Machine.kernel in
+  let lb f = match Runtime.lb o.rt with Some lb -> f lb | None -> 0 in
+  let granted, consumed, reclaimed = K.rxring_counters k in
+  let hits, misses = K.seccomp_cache_stats k in
+  let sched = Runtime.sched o.rt in
+  [
+    lb Lb.switch_count; lb Lb.switch_elided_count; lb Lb.transfer_count;
+    lb Lb.transfer_coalesced_count; lb Lb.fault_count;
+    lb Lb.guest_denied_count; lb Lb.gate_violation_count;
+    lb Lb.sfi_masked_access_count; lb Lb.tainted_verified_count;
+    lb Lb.tainted_rejected_count; K.ring_submitted_count k;
+    K.ring_drained_count k; K.ring_batches_count k; K.ring_ipi_count k;
+    granted; consumed; reclaimed; K.bytes_copied_count k; hits; misses;
+    K.origin_kill_count k; Sched.steal_count sched;
+    Sched.affinity_hit_count sched; Sched.kill_count sched;
+  ]
+
 let parse conv s = Cmdliner.Arg.conv_parser conv s
 let print conv v = Format.asprintf "%a" (Cmdliner.Arg.conv_printer conv) v
 
@@ -551,6 +572,23 @@ let registry_tests =
                   (e.run config ~requests ()).req_per_sec)
               (None :: List.map Option.some Backend.all))
           Scenarios.registry);
+    Alcotest.test_case "counters read the same with tracing on and off"
+      `Slow (fun () ->
+        let requests = 32 in
+        List.iter
+          (fun (e : Scenarios.entry) ->
+            List.iter
+              (fun config ->
+                let run ~obs =
+                  Cli.with_tracing ~obs ~witness:obs (fun () ->
+                      accessor_values (e.run config ~requests ()))
+                in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "%s under %s" e.name
+                     (Scenarios.config_name config))
+                  (run ~obs:false) (run ~obs:true))
+              (None :: List.map Option.some Backend.all))
+          Scenarios.registry);
     Alcotest.test_case "--backend round-trips every backend" `Quick (fun () ->
         List.iter
           (fun b ->
@@ -574,6 +612,14 @@ let registry_tests =
           (parse Cli.backends_conv "sfi,mpk" = Ok [ Backend.Sfi; Backend.Mpk ]);
         Alcotest.(check bool) "unknown rejected" true
           (Result.is_error (parse Cli.backends_conv "mpk,bogus")));
+    Alcotest.test_case "--requests must be at least 1" `Quick (fun () ->
+        Alcotest.(check bool) "64 parses" true (parse Cli.requests_conv "64" = Ok 64);
+        Alcotest.(check string) "prints" "1" (print Cli.requests_conv 1);
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) (s ^ " rejected") true
+              (Result.is_error (parse Cli.requests_conv s)))
+          [ "0"; "-5"; "many" ]);
   ]
 
 let () =

@@ -10,7 +10,6 @@ module Lb = Encl_litterbox.Litterbox
 module Machine = Encl_litterbox.Machine
 module K = Encl_kernel.Kernel
 module Obs = Encl_obs.Obs
-module Metrics = Encl_obs.Metrics
 module Runtime = Encl_golike.Runtime
 module Sched = Encl_golike.Sched
 module Channel = Encl_golike.Channel
@@ -316,7 +315,7 @@ let prop_tests =
                  ignore (Fault.fires inj ~env:"trusted" "cpu.spurious_fault")
                done;
                let obs_total =
-                 Metrics.total (Obs.metrics machine.Machine.obs) "inject"
+                 Obs.total machine.Machine.obs Encl_obs.Counter.Inject
                in
                Fault.total_fired inj = obs_total
                && List.length (Fault.log inj) = obs_total)));

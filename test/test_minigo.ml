@@ -165,6 +165,13 @@ let compile_tests =
 
 let run_tests =
   [
+    Alcotest.test_case "alloc(0) is a runtime error" `Quick (fun () ->
+        let t = build [ "package main\nfunc main() { s := alloc(0) }" ] in
+        match Minigo.run_main t with
+        | Error e ->
+            Alcotest.(check string) "message"
+              "runtime error: alloc: size must be positive, got 0" e
+        | Ok () -> Alcotest.fail "alloc(0) succeeded");
     Alcotest.test_case "figure-1 program runs and inverts" `Quick (fun () ->
         let t = build fig1_sources in
         (match Minigo.run_main t with Ok () -> () | Error e -> Alcotest.fail e);

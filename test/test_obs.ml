@@ -1,14 +1,15 @@
 (* Tests of the observability layer: the ring buffer, the histogram and
    metric registries, the JSON emit/parse pair, exporter well-formedness
    (the emitted documents are parsed back and cross-checked against
-   LitterBox's own counters), and a property test that the Obs counter
-   totals reconcile with switch_count/fault_count under arbitrary
-   prolog/epilog sequences. *)
+   LitterBox's accessors), and a property test that the counters read
+   the same with tracing on and off under arbitrary prolog/epilog
+   sequences. *)
 
 module Obs = Encl_obs.Obs
 module Ring = Encl_obs.Ring
 module Hist = Encl_obs.Hist
 module Metrics = Encl_obs.Metrics
+module Counter = Encl_obs.Counter
 module Event = Encl_obs.Event
 module Export = Encl_obs.Export
 module Json = Encl_obs.Export.Json
@@ -86,13 +87,22 @@ let hist_tests =
         Alcotest.(check bool) "p99 >= 99" true (Hist.quantile h 0.99 >= 99));
     Alcotest.test_case "metrics totals span scopes" `Quick (fun () ->
         let m = Metrics.create () in
-        Metrics.incr m ~scope:"a" "switch";
-        Metrics.incr m ~scope:"b" ~by:2 "switch";
-        Metrics.incr m ~scope:"b" "fault";
-        Alcotest.(check int) "total switch" 3 (Metrics.total m "switch");
-        Alcotest.(check int) "total fault" 1 (Metrics.total m "fault");
-        Alcotest.(check int) "missing" 0 (Metrics.total m "nope");
-        Alcotest.(check (list string)) "scope order" [ "a"; "b" ] (Metrics.scopes m));
+        (* Resolved in the opposite order to their first use. *)
+        let b = Metrics.scope m "b" and a = Metrics.scope m "a" in
+        Metrics.incr a Counter.Switch;
+        Metrics.add b Counter.Switch 2;
+        Metrics.incr b Counter.Fault;
+        Alcotest.(check int) "total switch" 3 (Metrics.total m Counter.Switch);
+        Alcotest.(check int) "total fault" 1 (Metrics.total m Counter.Fault);
+        Alcotest.(check int) "missing" 0 (Metrics.total m Counter.Retry);
+        Alcotest.(check (list string)) "scope order" [ "a"; "b" ] (Metrics.scopes m);
+        Alcotest.(check (list (pair string int)))
+          "non-zero counters only" [ ("switch", 1) ] (Metrics.counters m ~scope:"a");
+        Metrics.observe a "switch_ns" 40;
+        Metrics.clear_hists m;
+        Alcotest.(check int) "histograms dropped" 0 (List.length (Metrics.hists m ~scope:"a"));
+        Alcotest.(check int) "counters kept" 3 (Metrics.total m Counter.Switch);
+        Alcotest.(check (list string)) "order kept" [ "a"; "b" ] (Metrics.scopes m));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -216,19 +226,22 @@ let exporter_tests =
             Alcotest.(check bool) (scope ^ " present") true (contains scope))
           (Metrics.scopes (Obs.metrics machine.Machine.obs)));
     Alcotest.test_case "disabled sink records nothing" `Quick (fun () ->
+        (* Nothing but the always-on counters. *)
         let machine, _image, lb = Fixtures.boot Lb.Mpk in
         drive_figure1 lb;
         let obs = machine.Machine.obs in
+        let m = Obs.metrics obs in
         Alcotest.(check bool) "disabled" false (Obs.enabled obs);
         Alcotest.(check int) "no events" 0 (Obs.total_events obs);
-        Alcotest.(check (list string)) "no scopes" []
-          (Metrics.scopes (Obs.metrics obs));
+        Alcotest.(check int) "no spans" 0 (Encl_obs.Span.total (Obs.spans obs));
+        Alcotest.(check bool) "no histograms" true
+          (List.for_all (fun scope -> Metrics.hists m ~scope = []) (Metrics.scopes m));
         Alcotest.(check bool) "switches still counted" true
           (Lb.switch_count lb > 0));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Property: Obs totals == LitterBox counters *)
+(* Property: tracing does not move a counter *)
 
 type op = P_rcl | P_io | Epi | P_unknown | P_bad_site
 
@@ -260,17 +273,28 @@ let ops_arb =
         (list_size (int_range 0 30)
            (oneofl [ P_rcl; P_io; Epi; P_unknown; P_bad_site ])))
 
+(* Every LitterBox accessor after running [ops] on a fresh machine. *)
+let accessors boot backend ops =
+  let _machine, _image, lb = boot backend in
+  List.iter (apply lb) ops;
+  [
+    Lb.switch_count lb;
+    Lb.switch_elided_count lb;
+    Lb.transfer_count lb;
+    Lb.fault_count lb;
+    Lb.guest_denied_count lb;
+    Lb.gate_violation_count lb;
+    Lb.sfi_masked_access_count lb;
+    Lb.ring_drained_count lb;
+    Lb.ring_batches_count lb;
+  ]
+
 let prop_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"obs totals match litterbox counters" ~count:30
-         ops_arb
-         (fun (backend, ops) ->
-           let machine, _image, lb = boot_obs backend in
-           List.iter (apply lb) ops;
-           let m = Obs.metrics machine.Machine.obs in
-           Metrics.total m "switch" = Lb.switch_count lb
-           && Metrics.total m "fault" = Lb.fault_count lb));
+      (QCheck.Test.make ~name:"accessors read the same with tracing on and off"
+         ~count:30 ops_arb (fun (backend, ops) ->
+           accessors boot_obs backend ops = accessors Fixtures.boot backend ops));
   ]
 
 let () =

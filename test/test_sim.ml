@@ -129,6 +129,9 @@ let mpk_props =
            Mpk.key_rights pkru ~key:b = Mpk.Read_write));
   ]
 
+(* A sink for CPUs built without a machine: it counts gate violations. *)
+let obs () = Encl_obs.Obs.create ~now:(fun () -> 0) ()
+
 (* A small machine for CPU tests: two pages, one RW with key 1, one RX. *)
 let cpu_fixture () =
   let phys = Phys.create () in
@@ -139,7 +142,7 @@ let cpu_fixture () =
   Pagetable.map pt ~vpn:0 (Pte.make ~ppn:data_ppn ~perms:perms_rw);
   Pagetable.map pt ~vpn:1 (Pte.make ~ppn:text_ppn ~perms:perms_rx);
   Pagetable.set_pkey pt ~vpn:0 1;
-  let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+  let cpu = Cpu.create ~phys ~clock ~costs:Costs.default ~obs:(obs ()) (Cpu.trusted_env pt) in
   (cpu, pt)
 
 let expect_fault f =
@@ -194,7 +197,7 @@ let cpu_tests =
         let pt = Pagetable.create ~name:"t" in
         Pagetable.map pt ~vpn:0 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
         Pagetable.map pt ~vpn:1 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
-        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default ~obs:(obs ()) (Cpu.trusted_env pt) in
         let data = Bytes.init 100 (fun i -> Char.chr (i mod 256)) in
         let addr = Phys.page_size - 50 in
         Cpu.write_bytes cpu ~addr data;
@@ -206,7 +209,7 @@ let cpu_tests =
         let pt = Pagetable.create ~name:"t" in
         Pagetable.map pt ~vpn:0 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
         Pagetable.map pt ~vpn:1 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
-        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default (Cpu.trusted_env pt) in
+        let cpu = Cpu.create ~phys ~clock ~costs:Costs.default ~obs:(obs ()) (Cpu.trusted_env pt) in
         let addr = Phys.page_size - 3 in
         Cpu.write64 cpu addr 0x0102030405060708L;
         Alcotest.(check int64) "straddling i64" 0x0102030405060708L (Cpu.read64 cpu addr));
