@@ -125,6 +125,20 @@ for cmd in "profile.exe -- http --requests=-5" "trace_dump.exe -- http --request
   fi
 done
 
+stage "mini-Go call-depth limit"
+# Unbounded recursion in a mini-Go program ends in a runtime error
+# (exit 2) at the interpreter's call-depth limit, never in a hang.
+printf 'package main\nfunc f(x) { return f(x + 1) }\nfunc main() { f(0) }\n' \
+  > "$tmp/recursion.mg"
+status=0
+timeout 60 dune exec bin/minigo_run.exe -- "$tmp/recursion.mg" \
+  > "$tmp/recursion.out" 2>&1 || status=$?
+if [ "$status" != 2 ] || ! grep -q "fault: runtime error: call depth exceeds" "$tmp/recursion.out"; then
+  echo "ci: minigo_run on unbounded recursion exited $status, want 2 with a runtime error" >&2
+  cat "$tmp/recursion.out" >&2
+  exit 1
+fi
+
 stage "sysring differential (enforcement on/off diff)"
 # Batching may change what a run costs, never what enforcement decides:
 # the timing-free enforcement report must be byte-identical with the

@@ -53,7 +53,13 @@ let invert rt ~src ~width ~height =
     ignore rowbuf;
     let off = row0 * row_bytes in
     let data = Gbuf.read_bytes m (Gbuf.sub copy ~pos:off ~len:tile_len) in
-    for i = 0 to tile_len - 1 do
+    (* [255 - b] is [b lxor 0xff]: invert a 64-bit word at a time, then
+       the tail bytes. *)
+    let words = tile_len / 8 in
+    for w = 0 to words - 1 do
+      Bytes.set_int64_ne data (8 * w) (Int64.lognot (Bytes.get_int64_ne data (8 * w)))
+    done;
+    for i = 8 * words to tile_len - 1 do
       Bytes.unsafe_set data i
         (Char.unsafe_chr (255 - Char.code (Bytes.unsafe_get data i)))
     done;

@@ -2,13 +2,13 @@ type t = {
   phys : Phys.t;
   mutable pts : Pagetable.t list;
   mutable next : int;
-  frames : (int, int) Hashtbl.t;  (** vpn -> ppn, canonical ownership *)
+  frames : int Itbl.t;  (** vpn -> ppn, canonical ownership *)
 }
 
 let create ~phys ~base =
   if not (Encl_util.Bitops.is_aligned base Phys.page_size) then
     invalid_arg "Mm.create: base not page aligned";
-  { phys; pts = []; next = base; frames = Hashtbl.create 1024 }
+  { phys; pts = []; next = base; frames = Itbl.create 1024 }
 
 let phys t = t.phys
 let add_pt t pt = t.pts <- t.pts @ [ pt ]
@@ -33,10 +33,10 @@ let map_at t ~addr ~len ~perms =
   check_aligned "Mm.map_at" addr;
   let first, last = page_span ~addr ~len in
   for vpn = first to last do
-    if Hashtbl.mem t.frames vpn then
+    if Itbl.mem t.frames vpn then
       invalid_arg (Printf.sprintf "Mm.map_at: vpn %d already mapped" vpn);
     let ppn = Phys.alloc_page t.phys in
-    Hashtbl.replace t.frames vpn ppn;
+    Itbl.replace t.frames vpn ppn;
     List.iter (fun pt -> Pagetable.map pt ~vpn (Pte.make ~ppn ~perms)) t.pts
   done
 
@@ -49,11 +49,11 @@ let unmap t ~addr ~len =
   check_aligned "Mm.unmap" addr;
   let first, last = page_span ~addr ~len in
   for vpn = first to last do
-    match Hashtbl.find_opt t.frames vpn with
+    match Itbl.find_opt t.frames vpn with
     | None -> invalid_arg (Printf.sprintf "Mm.unmap: vpn %d not mapped" vpn)
     | Some ppn ->
         List.iter (fun pt -> Pagetable.unmap pt ~vpn) t.pts;
-        Hashtbl.remove t.frames vpn;
+        Itbl.remove t.frames vpn;
         Phys.free_page t.phys ppn
   done
 
@@ -75,4 +75,4 @@ let set_pkey t ~addr ~len key =
 let set_present (_ : t) ~pt ~addr ~len present =
   iter_range ~addr ~len (fun vpn -> Pagetable.set_present pt ~vpn present)
 
-let is_mapped t ~addr = Hashtbl.mem t.frames (addr / Phys.page_size)
+let is_mapped t ~addr = Itbl.mem t.frames (addr / Phys.page_size)

@@ -58,7 +58,7 @@ type t = {
   machine : Machine.t;
   backend : backend;
   graph : Encl_pkg.Graph.t;
-  registry : (int, string * Section.kind) Hashtbl.t;
+  registry : (string * Section.kind) Itbl.t;  (** vpn -> owning section *)
   pkg_sections : (string, Section.t list ref) Hashtbl.t;
   encs : (string, enc_rt) Hashtbl.t;
   mutable enc_order : string list;  (** registration order, first first *)
@@ -160,7 +160,7 @@ let register_section t (s : Section.t) =
   let first = s.Section.addr / Phys.page_size in
   let last = (Section.end_addr s - 1) / Phys.page_size in
   for vpn = first to last do
-    Hashtbl.replace t.registry vpn (s.Section.owner, s.Section.kind)
+    Itbl.replace t.registry vpn (s.Section.owner, s.Section.kind)
   done;
   let lst =
     match Hashtbl.find_opt t.pkg_sections s.Section.owner with
@@ -176,7 +176,7 @@ let sections_of t pkg =
   match Hashtbl.find_opt t.pkg_sections pkg with Some l -> !l | None -> []
 
 let owner_of t ~addr =
-  Option.map fst (Hashtbl.find_opt t.registry (addr / Phys.page_size))
+  Option.map fst (Itbl.find_opt t.registry (addr / Phys.page_size))
 
 (* ------------------------------------------------------------------ *)
 (* Views and environments                                              *)
@@ -192,7 +192,7 @@ let closure_vpn enc = enc.e_closure_addr / Phys.page_size
 let exec_filter t enc ~vpn =
   (enc.e_closure_addr <> 0 && vpn = closure_vpn enc)
   ||
-  match Hashtbl.find_opt t.registry vpn with
+  match Itbl.find_opt t.registry vpn with
   | Some (pkg, _) -> View.access enc.e_view pkg = Types.RWX
   | None -> false
 
@@ -203,7 +203,7 @@ let exec_filter t enc ~vpn =
    registry plus the view. Pages outside every section are the guard
    zone. *)
 let sfi_filter t enc ~write ~vpn =
-  match Hashtbl.find_opt t.registry vpn with
+  match Itbl.find_opt t.registry vpn with
   | None -> false
   | Some (pkg, _kind) -> (
       match View.access enc.e_view pkg with
@@ -1053,7 +1053,7 @@ let init ~machine ~backend ~image ?(binary_scan = []) ?(clustering = true) () =
           machine;
           backend;
           graph = image.Image.graph;
-          registry = Hashtbl.create 4096;
+          registry = Itbl.create 4096;
           pkg_sections = Hashtbl.create 64;
           encs = Hashtbl.create 16;
           enc_order = [];
@@ -1209,7 +1209,7 @@ let register_package t ~name ~imports ~sections =
             let rec scan vpn =
               if vpn > last then None
               else
-                match Hashtbl.find_opt t.registry vpn with
+                match Itbl.find_opt t.registry vpn with
                 | Some (owner, _) when owner <> name ->
                     Some (s.Section.name, owner)
                 | Some _ | None -> scan (vpn + 1)

@@ -28,6 +28,7 @@ type ctx = {
   rt : Runtime.t;
   compiled : Compile.compiled;
   out : Buffer.t;
+  mutable depth : int;  (** calls open now, across all goroutines *)
 }
 
 exception Runtime_error of string
@@ -35,7 +36,7 @@ exception Return_v of value
 
 let err fmt = Printf.ksprintf (fun m -> raise (Runtime_error m)) fmt
 
-let create rt compiled = { rt; compiled; out = Buffer.create 256 }
+let create rt compiled = { rt; compiled; out = Buffer.create 256; depth = 0 }
 let runtime t = t.rt
 let output t = Buffer.contents t.out
 
@@ -48,6 +49,17 @@ let find_fn ctx ~pkg ~fn =
   | Some p -> List.find_opt (fun f -> f.Ast.fn_name = fn) p.Ast.p_funcs
 
 let machine ctx = Runtime.machine ctx.rt
+
+(* Calls nest at most this deep. Deeper is a runtime error, as a
+   goroutine stack overflow is fatal in Go, rather than a run that
+   never ends. *)
+let max_call_depth = 10_000
+
+let nested ctx f =
+  if ctx.depth >= max_call_depth then
+    err "call depth exceeds %d (unbounded recursion?)" max_call_depth;
+  ctx.depth <- ctx.depth + 1;
+  Fun.protect ~finally:(fun () -> ctx.depth <- ctx.depth - 1) f
 
 (* Package-level storage: vars are 8-byte little-endian slots in .data;
    consts live in .rodata with a recorded length. *)
@@ -175,6 +187,7 @@ and call_closure ctx enc owner captured =
     | Some id -> id
     | None -> err "enclosure was not registered by the compiler"
   in
+  nested ctx @@ fun () ->
   Runtime.with_enclosure ctx.rt id (fun () ->
       match exec_block ctx ~pkg:owner captured enc.Ast.body with
       | () -> VUnit
@@ -187,6 +200,7 @@ and call_function ctx ~pkg ~fn argv =
       if List.length f.Ast.fn_params <> List.length argv then
         err "%s.%s expects %d arguments, got %d" pkg fn
           (List.length f.Ast.fn_params) (List.length argv);
+      nested ctx @@ fun () ->
       Runtime.in_function ctx.rt ~pkg ~fn (fun () ->
           let env = Hashtbl.create 8 in
           List.iter2 (fun p v -> Hashtbl.replace env p v) f.Ast.fn_params argv;

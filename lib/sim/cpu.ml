@@ -240,33 +240,6 @@ let write8 t addr v =
   let pte = check_page t Write addr in
   Phys.write8 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size) v
 
-let read64 t addr =
-  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
-    let pte = check_page t Read addr in
-    ignore (check_page t Read (addr + 7));
-    Phys.read64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size)
-  end
-  else begin
-    (* Crosses a page boundary: assemble byte by byte. *)
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (read8 t (addr + i)))
-    done;
-    !v
-  end
-
-let write64 t addr v =
-  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
-    let pte = check_page t Write addr in
-    ignore (check_page t Write (addr + 7));
-    Phys.write64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size) v
-  end
-  else
-    for i = 0 to 7 do
-      write8 t (addr + i)
-        (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-    done
-
 let read_bytes t ~addr ~len =
   check t Read ~addr ~len;
   let dst = Bytes.create len in
@@ -297,5 +270,59 @@ let write_bytes t ~addr src =
     end
   in
   copy addr 0 len
+
+(* An 8-byte access that crosses a page goes through [check] like any
+   bulk access, so it faults before moving a byte. *)
+let read64 t addr =
+  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
+    let pte = check_page t Read addr in
+    ignore (check_page t Read (addr + 7));
+    Phys.read64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size)
+  end
+  else Bytes.get_int64_le (read_bytes t ~addr ~len:8) 0
+
+let write64 t addr v =
+  if addr mod Phys.page_size <= Phys.page_size - 8 then begin
+    let pte = check_page t Write addr in
+    ignore (check_page t Write (addr + 7));
+    Phys.write64 t.phys ~ppn:pte.Pte.ppn ~off:(addr mod Phys.page_size) v
+  end
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t ~addr b
+  end
+
+(* The frame behind [addr], which has already passed [check]. *)
+let ppn_of t addr =
+  (Option.get (Pagetable.walk t.current.pt ~vpn:(vpn_of_addr addr))).Pte.ppn
+
+let copy t ~src ~dst ~len =
+  check t Write ~addr:dst ~len;
+  let ps = Phys.page_size in
+  let move s d chunk =
+    Phys.blit t.phys ~src:(ppn_of t s) ~src_off:(s mod ps) ~dst:(ppn_of t d)
+      ~dst_off:(d mod ps) chunk
+  in
+  if dst > src && dst < src + len then begin
+    (* memmove: a destination above an overlapping source is copied from
+       the top down, one chunk that fits both pages at a time. *)
+    let rem = ref len in
+    while !rem > 0 do
+      let s_end = src + !rem and d_end = dst + !rem in
+      let chunk = min !rem (min (((s_end - 1) mod ps) + 1) (((d_end - 1) mod ps) + 1)) in
+      move (s_end - chunk) (d_end - chunk) chunk;
+      rem := !rem - chunk
+    done
+  end
+  else begin
+    let pos = ref 0 in
+    while !pos < len do
+      let s = src + !pos and d = dst + !pos in
+      let chunk = min (len - !pos) (min (ps - (s mod ps)) (ps - (d mod ps))) in
+      move s d chunk;
+      pos := !pos + chunk
+    done
+  end
 
 let fetch t ~addr = ignore (check_page t Exec addr)

@@ -136,11 +136,25 @@ val check : t -> access_kind -> addr:int -> len:int -> unit
 
 val read8 : t -> int -> int
 val write8 : t -> int -> int -> unit
+
 val read64 : t -> int -> int64
+(** Little-endian. An access that crosses a page is checked whole, as by
+    {!check}, before any byte moves: it faults where {!check} would, and
+    a faulting {!write64} leaves memory untouched. *)
+
 val write64 : t -> int -> int64 -> unit
 
 val read_bytes : t -> addr:int -> len:int -> Bytes.t
 val write_bytes : t -> addr:int -> Bytes.t -> unit
+(** Both {!check} the whole range before moving any byte. *)
+
+val copy : t -> src:int -> dst:int -> len:int -> unit
+(** [copy t ~src ~dst ~len] copies guest memory to guest memory in one
+    pass, frame to frame ({!Phys.blit}), with no intermediate buffer. It
+    checks [dst] for writing with {!check}; the caller must already have
+    checked [src] for reading. Overlapping ranges copy as [memmove]
+    does. [check t Read ~addr:src ~len] then [copy] leaves memory, TLB
+    statistics and faults as [read_bytes] then [write_bytes] would. *)
 
 val fetch : t -> addr:int -> unit
 (** Instruction-fetch check at [addr] (entering a function). *)

@@ -2,7 +2,15 @@
 
     Frames are identified by physical page numbers (PPNs). The store backs
     every virtual address space in the simulation; page tables map virtual
-    page numbers to PPNs allocated here. *)
+    page numbers to PPNs allocated here.
+
+    Frames are demand-zero. A frame is free, zero, or backed by bytes. A
+    freshly allocated frame is zero: it reads as zeros and costs the host
+    no page of memory. Its first write gives it its own 4 KiB of bytes; a
+    write that covers the whole page adopts a copy of the source instead
+    of zeroing first. Copying a zero frame into a zero frame keeps it
+    zero. Every accessor raises [Invalid_argument] on a free or unknown
+    PPN and on a range outside the frame. *)
 
 val page_size : int
 (** 4096 bytes. *)
@@ -12,7 +20,8 @@ type t
 val create : unit -> t
 
 val alloc_page : t -> int
-(** Allocate a zeroed frame; returns its PPN. *)
+(** Allocate a zero frame; returns its PPN. A reused PPN reads as zeros
+    again. *)
 
 val free_page : t -> int -> unit
 (** Return a frame to the free list. Double frees raise
@@ -35,3 +44,9 @@ val blit_to_bytes : t -> ppn:int -> off:int -> Bytes.t -> int -> int -> unit
 
 val blit_of_bytes : t -> ppn:int -> off:int -> Bytes.t -> int -> int -> unit
 (** Copy bytes into one frame; same boundary rule. *)
+
+val blit : t -> src:int -> src_off:int -> dst:int -> dst_off:int -> int -> unit
+(** [blit t ~src ~src_off ~dst ~dst_off len] copies [len] bytes from
+    frame [src] to frame [dst] without an intermediate buffer; neither
+    range may cross its frame's boundary. Overlapping ranges within one
+    frame copy as [memmove] does. *)

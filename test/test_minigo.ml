@@ -172,6 +172,18 @@ let run_tests =
             Alcotest.(check string) "message"
               "runtime error: alloc: size must be positive, got 0" e
         | Ok () -> Alcotest.fail "alloc(0) succeeded");
+    Alcotest.test_case "unbounded recursion is a runtime error" `Quick (fun () ->
+        let t =
+          build
+            [
+              "package main\nfunc f(x) { return f(x + 1) }\nfunc main() { f(0) }";
+            ]
+        in
+        match Minigo.run_main t with
+        | Error e ->
+            Alcotest.(check string) "message"
+              "runtime error: call depth exceeds 10000 (unbounded recursion?)" e
+        | Ok () -> Alcotest.fail "unbounded recursion returned");
     Alcotest.test_case "figure-1 program runs and inverts" `Quick (fun () ->
         let t = build fig1_sources in
         (match Minigo.run_main t with Ok () -> () | Error e -> Alcotest.fail e);

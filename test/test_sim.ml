@@ -502,6 +502,292 @@ let mmu_props =
          pt_ops pt_matches_reference);
   ]
 
+(* Page-crossing 8-byte accesses are checked whole before any byte
+   moves, so they fault where [Cpu.check] does and never tear. *)
+let fault_of f =
+  match f () with
+  | exception Cpu.Fault fl -> Some (fl.Cpu.kind, fl.Cpu.vaddr)
+  | _ -> None
+
+let crossing_tests =
+  let ps = Phys.page_size in
+  [
+    Alcotest.test_case "crossing write64 faults before writing" `Quick (fun () ->
+        (* cpu_fixture: page 0 RW, page 1 RX. *)
+        let cpu, _ = cpu_fixture () in
+        Alcotest.(check (option (pair string int)))
+          "fault" (Some ("write", ps))
+          (Option.map
+             (fun (k, v) -> (Cpu.access_kind_name k, v))
+             (fault_of (fun () -> Cpu.write64 cpu (ps - 4) 0x0102030405060708L)));
+        Alcotest.(check bytes) "page 0 untouched" (Bytes.make 4 '\000')
+          (Cpu.read_bytes cpu ~addr:(ps - 4) ~len:4));
+    Alcotest.test_case "crossing read64 faults where check does" `Quick (fun () ->
+        let phys = Phys.create () in
+        let pt = Pagetable.create ~name:"t" in
+        Pagetable.map pt ~vpn:0 (Pte.make ~ppn:(Phys.alloc_page phys) ~perms:perms_rw);
+        let cpu =
+          Cpu.create ~phys ~clock:(Clock.create ()) ~costs:Costs.default ~obs:(obs ())
+            (Cpu.trusted_env pt)
+        in
+        let addr = ps - 4 in
+        let read = fault_of (fun () -> Cpu.read64 cpu addr) in
+        Alcotest.(check bool) "faults at the page" true (read = Some (Cpu.Read, ps));
+        Alcotest.(check bool) "same as check" true
+          (read = fault_of (fun () -> Cpu.check cpu Cpu.Read ~addr ~len:8)));
+  ]
+
+(* Differential: [Phys] against a table of plain [Bytes] frames. Every
+   op either returns what the reference returns or raises
+   [Invalid_argument] exactly when the reference does (a free or unknown
+   ppn, a range outside the page). *)
+type phys_op =
+  | P_alloc
+  | P_free of int
+  | P_read8 of int * int
+  | P_write8 of int * int * int
+  | P_read64 of int * int
+  | P_write64 of int * int * int64
+  | P_to_bytes of int * int * int
+  | P_of_bytes of int * int * int * char
+  | P_blit of int * int * int * int * int
+
+let show_phys_op = function
+  | P_alloc -> "alloc"
+  | P_free p -> Printf.sprintf "free %d" p
+  | P_read8 (p, o) -> Printf.sprintf "read8 %d@%d" p o
+  | P_write8 (p, o, v) -> Printf.sprintf "write8 %d@%d=%d" p o v
+  | P_read64 (p, o) -> Printf.sprintf "read64 %d@%d" p o
+  | P_write64 (p, o, v) -> Printf.sprintf "write64 %d@%d=%Ld" p o v
+  | P_to_bytes (p, o, l) -> Printf.sprintf "to_bytes %d@%d+%d" p o l
+  | P_of_bytes (p, o, l, c) -> Printf.sprintf "of_bytes %d@%d+%d (%C)" p o l c
+  | P_blit (s, so, d, dof, l) -> Printf.sprintf "blit %d@%d -> %d@%d +%d" s so d dof l
+
+(* Offsets and lengths cluster at the page's edges, including the
+   first values outside it. *)
+let off_gen =
+  let ps = Phys.page_size in
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0; 1; ps - 8; ps - 1 ]);
+        (4, int_bound (ps - 1));
+        (1, oneofl [ -1; ps; ps - 7 ]);
+      ])
+
+let len_gen =
+  let ps = Phys.page_size in
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ 0; 1; 8; ps ]); (4, int_bound ps); (1, oneofl [ -1; ps + 1 ]) ])
+
+let phys_ops =
+  let ppn = QCheck.Gen.int_range (-1) 7 in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_phys_op ops))
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (frequency
+           [
+             (4, return P_alloc);
+             (2, map (fun p -> P_free p) ppn);
+             (2, map2 (fun p o -> P_read8 (p, o)) ppn off_gen);
+             (2, map3 (fun p o v -> P_write8 (p, o, v)) ppn off_gen (int_bound 255));
+             (2, map2 (fun p o -> P_read64 (p, o)) ppn off_gen);
+             (2, map3 (fun p o v -> P_write64 (p, o, v)) ppn off_gen ui64);
+             (2, map3 (fun p o l -> P_to_bytes (p, o, l)) ppn off_gen len_gen);
+             ( 3,
+               map2
+                 (fun (p, o) (l, c) -> P_of_bytes (p, o, l, c))
+                 (pair ppn off_gen) (pair len_gen printable) );
+             ( 3,
+               map3
+                 (fun (s, so) (d, dof) l -> P_blit (s, so, d, dof, l))
+                 (pair ppn off_gen) (pair ppn off_gen) len_gen );
+           ]))
+
+let phys_matches_reference ops =
+  let p = Phys.create () in
+  let frames : (int, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
+  let frame ppn =
+    match Hashtbl.find_opt frames ppn with
+    | Some b -> b
+    | None -> invalid_arg "free"
+  in
+  (* Both sides return the same value, or both raise Invalid_argument. *)
+  let same impl reference =
+    let run f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+    run impl = run reference
+  in
+  let pattern len c = Bytes.init (max 0 len) (fun i -> Char.chr ((Char.code c + i) land 0xff)) in
+  let step = function
+    | P_alloc ->
+        let ppn = Phys.alloc_page p in
+        let fresh = not (Hashtbl.mem frames ppn) in
+        Hashtbl.replace frames ppn (Bytes.make Phys.page_size '\000');
+        fresh
+    | P_free ppn ->
+        same
+          (fun () -> Phys.free_page p ppn)
+          (fun () -> ignore (frame ppn); Hashtbl.remove frames ppn)
+    | P_read8 (ppn, off) ->
+        same
+          (fun () -> Phys.read8 p ~ppn ~off)
+          (fun () -> Char.code (Bytes.get (frame ppn) off))
+    | P_write8 (ppn, off, v) ->
+        same
+          (fun () -> Phys.write8 p ~ppn ~off v)
+          (fun () -> Bytes.set (frame ppn) off (Char.chr v))
+    | P_read64 (ppn, off) ->
+        same
+          (fun () -> Phys.read64 p ~ppn ~off)
+          (fun () -> Bytes.get_int64_le (frame ppn) off)
+    | P_write64 (ppn, off, v) ->
+        same
+          (fun () -> Phys.write64 p ~ppn ~off v)
+          (fun () -> Bytes.set_int64_le (frame ppn) off v)
+    | P_to_bytes (ppn, off, len) ->
+        let out () = Bytes.make (max 0 len + 2) '\x55' in
+        same
+          (fun () ->
+            let dst = out () in
+            Phys.blit_to_bytes p ~ppn ~off dst 1 len;
+            dst)
+          (fun () ->
+            let dst = out () in
+            Bytes.blit (frame ppn) off dst 1 len;
+            dst)
+    | P_of_bytes (ppn, off, len, c) ->
+        let src = pattern len c in
+        same
+          (fun () -> Phys.blit_of_bytes p ~ppn ~off src 0 len)
+          (fun () -> Bytes.blit src 0 (frame ppn) off len)
+    | P_blit (src, src_off, dst, dst_off, len) ->
+        same
+          (fun () -> Phys.blit p ~src ~src_off ~dst ~dst_off len)
+          (fun () ->
+            let s = frame src and d = frame dst in
+            Bytes.blit s src_off d dst_off len)
+  in
+  let contents_agree () =
+    Phys.page_count p = Hashtbl.length frames
+    && Hashtbl.fold
+         (fun ppn b ok ->
+           let got = Bytes.create Phys.page_size in
+           Phys.blit_to_bytes p ~ppn ~off:0 got 0 Phys.page_size;
+           ok && Bytes.equal got b)
+         frames true
+  in
+  List.for_all (fun op -> step op && contents_agree ()) ops
+
+(* Differential: [Cpu.check Read] + [Cpu.copy] against [read_bytes] +
+   [write_bytes] on two identical machines over four pages with mixed
+   permissions. Some frames start as untouched zero frames. *)
+type page_setup = Unmapped | Mapped of Pte.perms * char option
+
+let copy_case_gen =
+  let ps = Phys.page_size in
+  QCheck.Gen.(
+    let page =
+      frequency
+        [
+          (1, return Unmapped);
+          (4, map (fun fill -> Mapped (perms_rw, fill)) (opt printable));
+          (2, map (fun fill -> Mapped (perms_r, fill)) (opt printable));
+        ]
+    in
+    let addr =
+      frequency [ (3, int_bound ((4 * ps) - 1)); (1, map (fun k -> k * ps) (int_bound 4)) ]
+    in
+    let len = frequency [ (1, return 0); (3, int_bound 64); (3, int_bound (2 * ps + 1)) ] in
+    let copy =
+      let* src = addr and* len = len in
+      (* Overlapping copies, both directions, and unrelated ones. *)
+      let* dst =
+        frequency
+          [
+            (2, addr);
+            (1, map (fun d -> src + d) (int_range (-64) 64));
+            (1, map (fun d -> src + d) (int_range (-ps) ps));
+          ]
+      in
+      return (src, max 0 dst, len)
+    in
+    pair (array_repeat 4 page) (list_size (int_range 1 8) copy))
+
+let show_page = function
+  | Unmapped -> "-"
+  | Mapped (perms, fill) ->
+      Printf.sprintf "%s%s"
+        (if perms.Pte.w then "rw" else "r")
+        (match fill with None -> "(zero)" | Some c -> Printf.sprintf "(%C)" c)
+
+let copy_case =
+  QCheck.make copy_case_gen ~print:(fun (pages, copies) ->
+      Printf.sprintf "pages [%s]; copies %s"
+        (String.concat " " (Array.to_list (Array.map show_page pages)))
+        (String.concat "; "
+           (List.map (fun (s, d, l) -> Printf.sprintf "%#x->%#x+%d" s d l) copies)))
+
+let copy_machine pages =
+  let phys = Phys.create () in
+  let pt = Pagetable.create ~name:"t" in
+  Array.iteri
+    (fun vpn page ->
+      match page with
+      | Unmapped -> ()
+      | Mapped (perms, fill) ->
+          let ppn = Phys.alloc_page phys in
+          Pagetable.map pt ~vpn (Pte.make ~ppn ~perms);
+          Option.iter
+            (fun c ->
+              Phys.blit_of_bytes phys ~ppn ~off:0
+                (Bytes.init Phys.page_size (fun i -> Char.chr ((Char.code c * i) land 0xff)))
+                0 Phys.page_size)
+            fill)
+    pages;
+  ( Cpu.create ~phys ~clock:(Clock.create ()) ~costs:Costs.default ~obs:(obs ())
+      (Cpu.trusted_env pt),
+    pt )
+
+let copy_matches_read_then_write (pages, copies) =
+  let a, pt = copy_machine pages and b, _ = copy_machine pages in
+  let outcome f = match f () with () -> None | exception Cpu.Fault fl -> Some fl in
+  let memory cpu =
+    List.init 4 (fun vpn ->
+        match Pagetable.walk pt ~vpn with
+        | None -> None
+        | Some pte ->
+            let page = Bytes.create Phys.page_size in
+            Phys.blit_to_bytes (Cpu.phys cpu) ~ppn:pte.Pte.ppn ~off:0 page 0 Phys.page_size;
+            Some page)
+  in
+  List.for_all
+    (fun (src, dst, len) ->
+      let fa =
+        outcome (fun () ->
+            Cpu.check a Cpu.Read ~addr:src ~len;
+            Cpu.copy a ~src ~dst ~len)
+      in
+      let fb =
+        outcome (fun () -> Cpu.write_bytes b ~addr:dst (Cpu.read_bytes b ~addr:src ~len))
+      in
+      fa = fb
+      && memory a = memory b
+      && Tlb.hits (Cpu.tlb a) = Tlb.hits (Cpu.tlb b)
+      && Tlb.misses (Cpu.tlb a) = Tlb.misses (Cpu.tlb b))
+    copies
+
+let data_path_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Phys agrees with a Bytes reference" ~count:500
+         phys_ops phys_matches_reference);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Cpu.copy agrees with read_bytes + write_bytes" ~count:500
+         copy_case copy_matches_read_then_write);
+  ]
+
 let vtx_tests =
   [
     Alcotest.test_case "creation consumes kvm setup" `Quick (fun () ->
@@ -550,8 +836,9 @@ let () =
       ("phys", phys_tests);
       ("pagetable", pagetable_tests);
       ("mpk", mpk_tests @ mpk_props);
-      ("cpu", cpu_tests);
+      ("cpu", cpu_tests @ crossing_tests);
       ("tlb", tlb_tests @ mmu_props);
+      ("data path", data_path_props);
       ("misc", misc_tests);
       ("clock", clock_tests);
       ("vtx", vtx_tests);
