@@ -139,6 +139,18 @@ if [ "$status" != 2 ] || ! grep -q "fault: runtime error: call depth exceeds" "$
   exit 1
 fi
 
+stage "figure 4 layout"
+# The linked image of the Figure 1 program keeps the enclosure's
+# closure in its own text section and carries LitterBox's sections.
+dune exec bin/enclosure_report.exe -- layout figure1 > "$tmp/layout.out"
+for want in main.rcl.text .verif; do
+  if ! grep -qF "$want" "$tmp/layout.out"; then
+    echo "ci: enclosure_report layout figure1 does not print $want" >&2
+    cat "$tmp/layout.out" >&2
+    exit 1
+  fi
+done
+
 stage "sysring differential (enforcement on/off diff)"
 # Batching may change what a run costs, never what enforcement decides:
 # the timing-free enforcement report must be byte-identical with the

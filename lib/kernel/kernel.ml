@@ -705,6 +705,14 @@ let mm_shaping = function
   | Mmap _ | Munmap _ | Pkey_mprotect _ | Pkey_alloc | Pkey_free _ -> true
   | _ -> false
 
+(* A negative byte count is refused once the trap and the filter have
+   run, before the service charge, the chaos consultations and any copy. *)
+let negative_len = function
+  | Read { len; _ } | Write { len; _ } | Send { len; _ } | Recv { len; _ }
+  | Getrandom { len; _ } | Sendfile { len; _ } ->
+      len < 0
+  | _ -> false
+
 let syscall_body t call nr ~trap_cost =
   let t0 = Clock.now t.clock in
   Clock.consume t.clock Clock.Syscall trap_cost;
@@ -767,19 +775,22 @@ let syscall_body t call nr ~trap_cost =
         raise (Syscall_killed { nr; env = env.Cpu.label })
     | Bpf.Errno _ -> ()
   end;
-  Clock.consume t.clock Clock.Syscall (service_cost t call);
-  (* Chaos: blocking network calls may fail transiently before touching
-     the fd — the classic retry surface. *)
-  let transient =
-    match call with
-    | Recv _ | Recv_ring _ | Send _ | Accept _ ->
-        if injected t "kernel.transient_eintr" then Some Eintr
-        else if injected t "kernel.transient_eagain" then Some Eagain
-        else None
-    | _ -> None
-  in
   let result =
-    match transient with Some e -> Error e | None -> execute t call
+    if negative_len call then Error Einval
+    else begin
+      Clock.consume t.clock Clock.Syscall (service_cost t call);
+      (* Chaos: blocking network calls may fail transiently before
+         touching the fd — the classic retry surface. *)
+      let transient =
+        match call with
+        | Recv _ | Recv_ring _ | Send _ | Accept _ ->
+            if injected t "kernel.transient_eintr" then Some Eintr
+            else if injected t "kernel.transient_eagain" then Some Eagain
+            else None
+        | _ -> None
+      in
+      match transient with Some e -> Error e | None -> execute t call
+    end
   in
   obs_syscall t nr ~t0 ~verdict:Encl_obs.Event.Allowed;
   result

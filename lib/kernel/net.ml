@@ -1,4 +1,7 @@
-(* FIFO byte queue with chunked storage. *)
+(* FIFO byte queue with chunked storage. [push] adopts the buffer it is
+   given — the queue owns it from then on and never writes to it — so a
+   payload is copied once on its way in (by whoever made the buffer) and
+   once on its way out ([pop]). *)
 module Bytebuf = struct
   type t = { chunks : Bytes.t Queue.t; mutable offset : int; mutable size : int }
 
@@ -6,29 +9,32 @@ module Bytebuf = struct
 
   let push t data =
     if Bytes.length data > 0 then begin
-      Queue.push (Bytes.copy data) t.chunks;
+      Queue.push data t.chunks;
       t.size <- t.size + Bytes.length data
     end
 
   let size t = t.size
 
+  (* Up to [n] bytes, clamped to [0, size], in one fresh buffer filled
+     with one blit per chunk it spans. *)
   let pop t n =
-    let out = Buffer.create (min n t.size) in
-    let remaining = ref (min n t.size) in
-    while !remaining > 0 do
+    let n = max 0 (min n t.size) in
+    let out = Bytes.create n in
+    let filled = ref 0 in
+    while !filled < n do
       let chunk = Queue.peek t.chunks in
       let avail = Bytes.length chunk - t.offset in
-      let take = min avail !remaining in
-      Buffer.add_subbytes out chunk t.offset take;
-      remaining := !remaining - take;
+      let take = min avail (n - !filled) in
+      Bytes.blit chunk t.offset out !filled take;
+      filled := !filled + take;
       if take = avail then begin
         ignore (Queue.pop t.chunks);
         t.offset <- 0
       end
       else t.offset <- t.offset + take
     done;
-    t.size <- t.size - Buffer.length out;
-    Buffer.to_bytes out
+    t.size <- t.size - n;
+    out
 end
 
 type remote = {
@@ -56,7 +62,7 @@ let set_injector t inj =
   Encl_fault.Fault.register inj ~point:"net.conn_drop"
     ~doc:"connection torn down mid-operation (both endpoints closed)";
   Encl_fault.Fault.register inj ~point:"net.partial_read"
-    ~doc:"recv returns only half the available bytes";
+    ~doc:"recv returns only half of what it could, never more than asked";
   Encl_fault.Fault.register inj ~point:"net.partial_write"
     ~doc:"send delivers only a prefix of the payload";
   t.inject <- Some inj
@@ -136,7 +142,8 @@ let readable _t ep =
 let recv t ep n =
   if Bytebuf.size ep.inbox > 0 then begin
     let n =
-      if injected t "net.partial_read" then max 1 (min n (Bytebuf.size ep.inbox) / 2)
+      if injected t "net.partial_read" then
+        min n (max 1 (min n (Bytebuf.size ep.inbox) / 2))
       else n
     in
     Data (Bytebuf.pop ep.inbox n)

@@ -14,9 +14,10 @@ val create : unit -> t
 val set_injector : t -> Encl_fault.Fault.t -> unit
 (** Attach a chaos injector and register the network's hook points:
     [net.conn_drop] (both endpoints closed mid-send), [net.partial_read]
-    (recv returns half the buffered bytes) and [net.partial_write] (send
-    delivers only a prefix and reports the short count). Consultations
-    carry the environment label ["net"]. *)
+    (recv returns half of what it could, at least one byte but never more
+    than asked) and [net.partial_write] (send delivers only a prefix and
+    reports the short count). Consultations carry the environment label
+    ["net"]. *)
 
 (** {2 Addresses} *)
 
@@ -42,7 +43,18 @@ val readable : t -> ep -> bool
 (** Data buffered, or the stream is at EOF (non-consuming peek). *)
 
 val send : t -> ep -> Bytes.t -> (int, string) result
+(** [send t ep data] queues [data] at the peer and returns how many bytes
+    it took. The queue adopts [data] without copying it, so the caller
+    must not write to [data] afterwards; a buffer that is never written
+    may be sent more than once. Under [net.partial_write] only a copied
+    prefix is queued. *)
+
 val recv : t -> ep -> int -> recv_result
+(** [recv t ep n] takes at most [n] bytes (none when [n <= 0]) from the
+    front of [ep]'s queue, or reports [Would_block] / [Eof] when it is
+    empty. The returned buffer is a fresh copy that belongs to the
+    caller. *)
+
 val close_ep : t -> ep -> unit
 val ep_closed : ep -> bool
 
@@ -71,7 +83,9 @@ val register_remote :
   t -> ip:int -> port:int -> ?respond:(Bytes.t -> Bytes.t list) -> string ->
   remote
 (** Register a remote server. [respond chunk] produces reply chunks pushed
-    back to the guest; default responds nothing. *)
+    back to the guest; default responds nothing. The guest's queue adopts
+    each reply as {!send} adopts its payload, so [respond] must return
+    buffers it does not keep or write to later. *)
 
 val remote_received : remote -> Bytes.t
 (** Every byte this host has received so far (exfiltration detector). *)

@@ -323,6 +323,40 @@ let http_tests =
         Alcotest.(check bool) "status line" true
           (String.length resp > 20 && String.sub resp 0 15 = "HTTP/1.1 200 OK");
         Alcotest.(check bool) "body present" true (String.length resp > 13 * 1024));
+    Alcotest.test_case "a response longer than one client recv arrives whole" `Quick
+      (fun () ->
+        (* Over 64 KiB, so the client drain takes it in two receives and
+           joins them. *)
+        let len = 100 * 1024 in
+        let body = Bytes.init len (fun i -> Char.chr (i mod 251)) in
+        let main =
+          Runtime.package "main" ~imports:[ Httpd.pkg; "assets" ]
+            ~functions:[ ("main", 64) ] ()
+        in
+        let assets = Runtime.package "assets" ~constants:[ ("big", len, Some body) ] () in
+        let rt =
+          Result.get_ok
+            (Runtime.boot Runtime.baseline
+               ~packages:(main :: assets :: Httpd.packages ())
+               ~entry:"main")
+        in
+        let page = Runtime.global rt ~pkg:"assets" "big" in
+        Runtime.run_main rt (fun () ->
+            Httpd.serve rt ~port:9001 ~handler:(fun ~meth:_ ~path:_ -> page));
+        Runtime.kick rt;
+        let ep = Httpd.client_connect rt ~port:9001 in
+        Runtime.kick rt;
+        Httpd.client_get rt ep ~path:"/";
+        Runtime.kick rt;
+        let want =
+          Printf.sprintf "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: %d\r\n\r\n%s"
+            len (Bytes.to_string body)
+        in
+        let resp = Bytes.to_string (Httpd.client_read_response rt ep) in
+        Alcotest.(check int) "length" (String.length want) (String.length resp);
+        Alcotest.(check bool) "bytes" true (resp = want);
+        Alcotest.(check int) "nothing left" 0
+          (Bytes.length (Httpd.client_read_response rt ep)));
   ]
 
 (* ------------------------------------------------------------------ *)

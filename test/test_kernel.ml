@@ -322,10 +322,105 @@ let net_tests =
         Alcotest.(check bool) "still there" true (Net.recv net server 1 <> Net.Would_block));
   ]
 
+(* The socket data path against a reference byte queue: random sends
+   (0 to 16 bytes, one queued chunk each) and receives (0 to 48 bytes,
+   up to three chunks) interleave, with or without short reads and
+   writes injected. What arrives must be what was accepted, in order,
+   and no receive may return more than it asked for. *)
+type net_op = Send_op of int | Recv_op of int
+
+let net_op_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> Send_op n) (int_range 0 16);
+        map (fun n -> Recv_op n) (int_range 0 48);
+      ])
+
+let print_net_op = function
+  | Send_op n -> Printf.sprintf "send %d" n
+  | Recv_op n -> Printf.sprintf "recv %d" n
+
+let stream_arb =
+  QCheck.make
+    ~print:(fun (faulty, seed, ops) ->
+      Printf.sprintf "faulty=%b seed=%d [%s]" faulty seed
+        (String.concat "; " (List.map print_net_op ops)))
+    QCheck.Gen.(triple bool (int_range 0 1000) (list_size (int_range 1 60) net_op_gen))
+
+let stream_matches (faulty, seed, ops) =
+  let net = Net.create () in
+  if faulty then begin
+    let inj = Encl_fault.Fault.create ~seed:(Int64.of_int seed) () in
+    Net.set_injector net inj;
+    Encl_fault.Fault.arm_plan inj
+      [
+        Encl_fault.Fault.rule ~prob:0.5 "net.partial_read";
+        Encl_fault.Fault.rule ~prob:0.5 "net.partial_write";
+      ]
+  end;
+  let l = Result.get_ok (Net.listen net ~port:7) in
+  let client = Result.get_ok (Net.client_connect net ~port:7) in
+  let server = Option.get (Net.accept net l) in
+  let sent = Buffer.create 256 and got = Buffer.create 256 in
+  let next = ref 0 in
+  let recv n =
+    let queued = Buffer.length sent - Buffer.length got in
+    match Net.recv net server n with
+    | Net.Data d ->
+        let len = Bytes.length d in
+        if len > max n 0 then QCheck.Test.fail_reportf "recv %d returned %d bytes" n len;
+        if (not faulty) && len <> min (max n 0) queued then
+          QCheck.Test.fail_reportf "recv %d with %d queued returned %d bytes" n queued len;
+        Buffer.add_bytes got d;
+        len > 0
+    | Net.Would_block ->
+        if queued > 0 then QCheck.Test.fail_reportf "would block with %d queued" queued;
+        false
+    | Net.Eof -> QCheck.Test.fail_reportf "eof on an open stream"
+  in
+  List.iter
+    (function
+      | Send_op k -> (
+          let data =
+            Bytes.init k (fun _ ->
+                incr next;
+                Char.chr (!next mod 251))
+          in
+          match Net.send net client data with
+          | Ok m -> Buffer.add_subbytes sent data 0 m
+          | Error e -> QCheck.Test.fail_reportf "send: %s" e)
+      | Recv_op n -> ignore (recv n))
+    ops;
+  while recv 48 do
+    ()
+  done;
+  Buffer.contents got = Buffer.contents sent
+
+let net_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"stream delivers the sent bytes in order" ~count:500
+         stream_arb stream_matches);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Kernel dispatcher *)
 
 let kernel_fixture () = Machine.create ()
+
+(* A guest socket accepted from an outside client: the machine, the
+   guest's fd, the client's endpoint and one mapped user page. *)
+let connected_fixture () =
+  let m = kernel_fixture () in
+  let k = m.Machine.kernel in
+  let lfd = Result.get_ok (K.syscall k K.Socket) in
+  ignore (K.syscall k (K.Bind { fd = lfd; port = 4321 }));
+  ignore (K.syscall k (K.Listen lfd));
+  let client = Result.get_ok (Net.client_connect m.Machine.net ~port:4321) in
+  let fd = Result.get_ok (K.syscall k (K.Accept lfd)) in
+  let buf = Encl_kernel.Mm.map m.Machine.mm ~len:4096 ~perms:{ Pte.r = true; w = true; x = false } in
+  (m, fd, client, buf)
 
 let kernel_tests =
   [
@@ -437,6 +532,63 @@ let kernel_tests =
         let buf = Encl_kernel.Mm.map m.Machine.mm ~len:4096 ~perms:{ Pte.r = true; w = true; x = false } in
         Alcotest.(check bool) "ok" true (K.syscall k (K.Getcwd { buf; len = 64 }) = Ok 2);
         Alcotest.(check int) "slash" (Char.code '/') (Cpu.read8 m.Machine.cpu buf));
+    Alcotest.test_case "negative lengths are EINVAL before any charge" `Quick (fun () ->
+        let m, fd, client, buf = connected_fixture () in
+        let k = m.Machine.kernel in
+        ignore (Net.send m.Machine.net client (Bytes.of_string "queued"));
+        ignore (Vfs.create_file m.Machine.vfs "/f" (Bytes.of_string "file"));
+        let file = Result.get_ok (K.syscall k (K.Open { path = "/f"; flags = [ K.O_rdonly ] })) in
+        let timed call =
+          let t0 = Clock.now m.Machine.clock in
+          let r = K.syscall k call in
+          (r, Clock.now m.Machine.clock - t0)
+        in
+        (* getuid has no service cost: it charges the trap alone. *)
+        let _, trap_only = timed K.Getuid in
+        let copied = K.bytes_copied_count k in
+        List.iter
+          (fun (name, call) ->
+            let r, dt = timed call in
+            Alcotest.(check bool) (name ^ " einval") true (r = Error K.Einval);
+            Alcotest.(check int) (name ^ " charges only the trap") trap_only dt)
+          [
+            ("read", K.Read { fd; buf; len = -1 });
+            ("write", K.Write { fd; buf; len = -1 });
+            ("send", K.Send { fd; buf; len = -1 });
+            ("recv", K.Recv { fd; buf; len = -1 });
+            ("getrandom", K.Getrandom { buf; len = -1 });
+            ("sendfile", K.Sendfile { out_fd = fd; in_fd = file; off = 0; len = -1 });
+          ];
+        Alcotest.(check int) "nothing copied" copied (K.bytes_copied_count k);
+        Alcotest.(check bool) "queued bytes untouched" true
+          (K.syscall k (K.Recv { fd; buf; len = 64 }) = Ok 6));
+    Alcotest.test_case "partial read never returns more than asked" `Quick (fun () ->
+        let m, fd, client, buf = connected_fixture () in
+        let k = m.Machine.kernel in
+        ignore (Net.send m.Machine.net client (Bytes.of_string "hello"));
+        Cpu.write_bytes m.Machine.cpu ~addr:buf (Bytes.of_string "z");
+        Encl_fault.Fault.arm m.Machine.inject (Encl_fault.Fault.rule "net.partial_read");
+        Alcotest.(check bool) "zero-length recv" true
+          (K.syscall k (K.Recv { fd; buf; len = 0 }) = Ok 0);
+        Alcotest.(check char) "buffer untouched" 'z' (Char.chr (Cpu.read8 m.Machine.cpu buf));
+        Alcotest.(check bool) "one-byte recv" true
+          (K.syscall k (K.Recv { fd; buf; len = 1 }) = Ok 1);
+        Alcotest.(check char) "first byte" 'h' (Char.chr (Cpu.read8 m.Machine.cpu buf));
+        Alcotest.(check bool) "half of what is queued" true
+          (K.syscall k (K.Recv { fd; buf; len = 64 }) = Ok 2);
+        Encl_fault.Fault.disarm_all m.Machine.inject;
+        Alcotest.(check bool) "the rest" true (K.syscall k (K.Recv { fd; buf; len = 64 }) = Ok 2);
+        Alcotest.(check bytes) "in order" (Bytes.of_string "lo")
+          (Cpu.read_bytes m.Machine.cpu ~addr:buf ~len:2));
+    Alcotest.test_case "send snapshots the user buffer" `Quick (fun () ->
+        let m, fd, client, buf = connected_fixture () in
+        let k = m.Machine.kernel in
+        Cpu.write_bytes m.Machine.cpu ~addr:buf (Bytes.of_string "before");
+        Alcotest.(check bool) "sent" true (K.syscall k (K.Send { fd; buf; len = 6 }) = Ok 6);
+        Cpu.write_bytes m.Machine.cpu ~addr:buf (Bytes.of_string "AFTER!");
+        match Net.recv m.Machine.net client 64 with
+        | Net.Data d -> Alcotest.(check bytes) "as at send time" (Bytes.of_string "before") d
+        | _ -> Alcotest.fail "no data");
     Alcotest.test_case "nanosleep advances simulated time" `Quick (fun () ->
         let m = kernel_fixture () in
         let t0 = Clock.now m.Machine.clock in
@@ -496,6 +648,6 @@ let () =
       ("seccomp", seccomp_tests @ seccomp_props);
       ("mm", mm_tests);
       ("vfs", vfs_tests);
-      ("net", net_tests);
+      ("net", net_tests @ net_props);
       ("kernel", kernel_tests);
     ]
