@@ -18,6 +18,7 @@ module Bild = Encl_apps.Bild
 module Fasthttp = Encl_apps.Fasthttp
 module Plot = Encl_pylike.Plot_experiment
 module Pyrt = Encl_pylike.Pyrt
+module Experiments = Encl_apps.Experiments
 
 let quick = Sys.getenv_opt "ENCL_BENCH_QUICK" = Some "1"
 
@@ -33,6 +34,12 @@ let rcfg_of config =
   match config with
   | None -> { Runtime.baseline with Runtime.cores = 1 }
   | Some b -> { (Runtime.with_backend b) with Runtime.cores = 1 }
+
+(* Every scenario run that more than one section reads (the default-flags
+   http leg feeds Table 2, the fast-path and ring rows and policy mining)
+   goes through one memoizing runner, so it runs once. *)
+let run = Experiments.runner ()
+let leg = Experiments.leg ~quick
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -203,11 +210,23 @@ let table1 () =
 (* ------------------------------------------------------------------ *)
 (* Table 2: macrobenchmarks                                            *)
 
+(* A server row of Table 2 or Figure 5: req/s per config, and each
+   backend's slowdown against the Baseline. *)
+let server_row label scenario ?(papers = []) note =
+  let rps =
+    List.map (fun c -> Experiments.req_per_sec (run (leg scenario c))) configs
+  in
+  add_row ~workload:scenario ~metric:"req_per_sec" ~papers
+    (List.combine configs rps);
+  let base = List.hd rps in
+  Printf.printf "%-10s %7.0freq/s" label base;
+  List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (base /. v)) (List.tl rps);
+  Printf.printf " %s\n%!" note
+
 let table2 () =
   section "Table 2: Macrobenchmarks";
   let bild_iters = if quick then 1 else 3 in
   let dim = if quick then 256 else 1024 in
-  let requests = if quick then 200 else 2000 in
   (* bild *)
   let bild_res =
     List.map
@@ -228,36 +247,12 @@ let table2 () =
       List.iter (fun v -> Printf.printf " %8.2fms (%.2fx)" v (v /. b)) rest;
       Printf.printf "   [paper: 13.25 / 1.12x / 1.05x]\n%!"
   | [] -> assert false);
-  (* HTTP *)
-  let http_res =
-    List.map (fun c -> Scenarios.http c ~rcfg:(rcfg_of c) ~requests ()) configs
-  in
-  let http_rps = List.map (fun r -> r.Scenarios.h_req_per_sec) http_res in
-  add_row ~workload:"http" ~metric:"req_per_sec"
+  server_row "HTTP" "http"
     ~papers:[ 16991.; 16991. /. 1.02; 16991. /. 1.77 ]
-    (List.combine configs http_rps);
-  (match http_rps with
-  | b :: rest ->
-      Printf.printf "HTTP       %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf " [paper: 16991 / 1.02x / 1.77x]\n%!"
-  | [] -> assert false);
-  (* FastHTTP *)
-  let fast_res =
-    List.map
-      (fun c -> Scenarios.fasthttp c ~rcfg:(rcfg_of c) ~requests ())
-      configs
-  in
-  let fast_rps = List.map (fun r -> r.Scenarios.h_req_per_sec) fast_res in
-  add_row ~workload:"fasthttp" ~metric:"req_per_sec"
+    "[paper: 16991 / 1.02x / 1.77x]";
+  server_row "FastHTTP" "fasthttp"
     ~papers:[ 22867.; 22867. /. 1.04; 22867. /. 2.01 ]
-    (List.combine configs fast_rps);
-  (match fast_rps with
-  | b :: rest ->
-      Printf.printf "FastHTTP   %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf " [paper: 22867 / 1.04x / 2.01x]\n%!"
-  | [] -> assert false);
+    "[paper: 22867 / 1.04x / 2.01x]";
   (* The TCB-information columns of Table 2. *)
   Printf.printf
     "\nBenchmark information (Table 2, right side):\n%-10s %-10s %-14s %-12s\n"
@@ -274,25 +269,15 @@ let table2 () =
 
 let figure5 () =
   section "Figure 5: wiki-like web application (mux + pq + Postgres)";
-  let requests = if quick then 120 else 1000 in
-  let res =
-    List.map (fun c -> Scenarios.wiki c ~rcfg:(rcfg_of c) ~requests ()) configs
-  in
-  let rps = List.map (fun r -> r.Scenarios.h_req_per_sec) res in
-  add_row ~workload:"wiki" ~metric:"req_per_sec" (List.combine configs rps);
-  (match rps with
-  | b :: rest ->
-      Printf.printf "wiki       %7.0freq/s" b;
-      List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (b /. v)) rest;
-      Printf.printf
-        "\n(paper: \"the throughput slowdown is similar to the one in the \
-         FastHTTP experiment\")\n%!"
-  | [] -> assert false);
+  server_row "wiki" "wiki"
+    "(paper: the throughput slowdown is similar to FastHTTP's)";
   match Scenarios.wiki_check (Some Lb.Vtx) with
   | Ok body ->
       Printf.printf "functional check (POST then GET through both enclosures): %s\n"
         body
-  | Error e -> Printf.printf "functional check FAILED: %s\n" e
+  | Error e ->
+      prerr_endline ("bench: Figure 5 functional check failed: " ^ e);
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* §6.4: Python enclosures                                             *)
@@ -362,37 +347,6 @@ let security () =
      as in the paper)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Extensions beyond the paper: LB_LWC (paper Â§8's hardware-free
-   suggestion) and LB_SFI (software fault isolation). Their micro and
-   macro rows already appear in Tables 1/2 above via [configs]; this
-   section prints the head-to-head that motivates each one. *)
-
-let extensions () =
-  section "Extensions: LB_LWC (no specialized hardware) and LB_SFI (instrumentation)";
-  let requests = if quick then 200 else 1000 in
-  let http =
-    List.map
-      (fun c ->
-        (Scenarios.http c ~rcfg:(rcfg_of c) ~requests ()).Scenarios.h_req_per_sec)
-      configs
-  in
-  (match http with
-  | b :: rest ->
-      Printf.printf "HTTP req/s %10.0f" b;
-      List.iter (fun v -> Printf.printf " %10.0f" v) rest;
-      Printf.printf "  (slowdowns";
-      List.iter (fun v -> Printf.printf " %.2fx" (b /. v)) rest;
-      Printf.printf ")\n"
-  | [] -> assert false);
-  Printf.printf
-    "(LWC switches cost two kernel crossings but system calls stay at\n\
-    \ baseline cost: it beats LB_VTX on syscall-heavy servers while needing\n\
-    \ no MPK keys or VT-x. SFI crosses the sandbox for the price of a\n\
-    \ trampoline call and instead pays per memory access: cheapest of all\n\
-    \ on this switch-heavy server, worst on access-heavy bild -- the\n\
-    \ crossover `profile.exe crossover` pins down.)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Ablations: the design choices DESIGN.md calls out                   *)
 
 let ablations () =
@@ -435,46 +389,7 @@ let ablations () =
 "
   | Error e -> Printf.printf "clustering OFF: %s
 " e);
-  (* 2. The seccomp trusted-PKRU fast path: a filter walk of at most
-     4 steps (the trusted-PKRU branch) costs seccomp_fast instead of
-     seccomp_eval. The verdict cache would serve nearly every trap and
-     skip the walk altogether, so both legs (and the Baseline they are
-     compared with) run with the fast paths off; only the price of a
-     short walk differs between them. *)
-  let requests = if quick then 200 else 1000 in
-  let uncached f = Fastpath.with_flag false f in
-  let base =
-    uncached (fun () -> Scenarios.http None ~rcfg:(rcfg_of None) ~requests ())
-  in
-  let http_mpk costs =
-    uncached (fun () ->
-        Scenarios.http (Some Lb.Mpk)
-          ~rcfg:{ (rcfg_of (Some Lb.Mpk)) with Runtime.costs }
-          ~requests ())
-  in
-  let fast = http_mpk Costs.default in
-  let slow =
-    http_mpk
-      {
-        Costs.default with
-        Costs.seccomp_fast = Costs.default.Costs.seccomp_eval;
-      }
-  in
-  let print label (r : Scenarios.http_result) =
-    Printf.printf
-      "seccomp fast path %-4s HTTP LB_MPK %.0f req/s (%.3fx, verdict cache \
-       off)\n"
-      label r.Scenarios.h_req_per_sec
-      (base.Scenarios.h_req_per_sec /. r.Scenarios.h_req_per_sec)
-  in
-  print "ON:" fast;
-  print "OFF:" slow;
-  if fast.Scenarios.h_req_per_sec <= slow.Scenarios.h_req_per_sec then begin
-    prerr_endline
-      "bench: the seccomp fast-path ablation measured no gain (ON <= OFF)";
-    exit 1
-  end;
-  (* 3. TLB locality: LB_MPK switches write PKRU and keep the same page
+  (* 2. TLB locality: LB_MPK switches write PKRU and keep the same page
      table (TLB stays warm); LB_VTX switches move CR3 and flush it. *)
   let tlb_flushes backend =
     let rt = micro_boot (Some backend) in
@@ -489,7 +404,7 @@ let ablations () =
     "TLB flushes across 100 enclosure calls: LB_MPK %d, LB_VTX %d
 "
     (tlb_flushes Lb.Mpk) (tlb_flushes Lb.Vtx);
-  (* 4. Default-policy annotation burden (paper 3.1): the default view
+  (* 3. Default-policy annotation burden (paper 3.1): the default view
      needs zero annotations for the packages an enclosure uses; the
      deny-all alternative would require listing every natural
      dependency. *)
@@ -590,114 +505,26 @@ let run_bechamel () =
     (bechamel_tests ())
 
 (* ------------------------------------------------------------------ *)
-(* Fast path: switch elision + seccomp verdict cache                   *)
+(* The experiment registry: ablations and cross-backend claims         *)
 
-let fastpath () =
-  section "Fast path: switch elision and the seccomp verdict cache";
-  let requests = if quick then 200 else 2000 in
-  let run_http backend flag =
-    Fastpath.with_flag flag (fun () ->
-        Scenarios.http (Some backend) ~rcfg:(rcfg_of (Some backend))
-          ~requests ())
-  in
+(* Each experiment's legs and rows; whether its claim holds is judged by
+   `profile NAME`, not here. *)
+let experiments () =
   List.iter
-    (fun backend ->
-      let on = run_http backend true in
-      let off = run_http backend false in
-      let rt_on = on.Scenarios.h_rt in
-      let lb = Option.get (Runtime.lb rt_on) in
-      let name = Scenarios.config_name (Some backend) in
-      Printf.printf
-        "%-8s http  on %8.0f req/s  off %8.0f req/s  (%d/%d switches elided)\n%!"
-        name on.Scenarios.h_req_per_sec off.Scenarios.h_req_per_sec
-        (Lb.switch_elided_count lb) (Lb.switch_count lb);
-      add_result ~workload:"switch_elision_http" ~backend:name
-        ~metric:"req_per_sec" on.Scenarios.h_req_per_sec;
-      add_result ~workload:"switch_elision_http" ~backend:name
-        ~metric:"elided_switches"
-        (float_of_int (Lb.switch_elided_count lb));
-      if backend = Lb.Mpk then begin
-        let hits, misses =
-          K.seccomp_cache_stats (Runtime.machine rt_on).Machine.kernel
-        in
-        let rate =
-          K.seccomp_cache_hit_rate (Runtime.machine rt_on).Machine.kernel
-        in
-        Printf.printf
-          "%-8s http  seccomp verdict cache: %d hits / %d evaluations \
-           (%.3f hit rate)\n%!"
-          name hits (hits + misses) rate;
-        add_result ~workload:"seccomp_cache_hit_rate" ~backend:name
-          ~metric:"hit_rate" rate
-      end)
-    backends
-
-(* ------------------------------------------------------------------ *)
-(* Syscall ring: batched submission/completion (ENCL_SYSRING)          *)
-
-let sysring () =
-  section "Syscall ring: batched submission (ENCL_SYSRING)";
-  let requests = if quick then 200 else 2000 in
-  let run_http backend flag =
-    Sysring.with_flag flag (fun () ->
-        Scenarios.http (Some backend) ~rcfg:(rcfg_of (Some backend))
-          ~requests ())
-  in
-  List.iter
-    (fun backend ->
-      let on = run_http backend true in
-      let off = run_http backend false in
-      let lb = Option.get (Runtime.lb on.Scenarios.h_rt) in
-      let lb_off = Option.get (Runtime.lb off.Scenarios.h_rt) in
-      let name = Scenarios.config_name (Some backend) in
-      let batches = Lb.ring_batches_count lb in
-      let batch_avg =
-        if batches = 0 then 0.0
-        else float_of_int (Lb.ring_drained_count lb) /. float_of_int batches
-      in
-      Printf.printf
-        "%-8s http  ring on %8.0f req/s  off %8.0f req/s  (%d entries in %d \
-         batches, avg %.1f; vm_exits %d vs %d)\n%!"
-        name on.Scenarios.h_req_per_sec off.Scenarios.h_req_per_sec
-        (Lb.ring_drained_count lb) batches batch_avg (Lb.vmexit_count lb)
-        (Lb.vmexit_count lb_off);
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"req_per_sec"
-        on.Scenarios.h_req_per_sec;
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"vm_exits"
-        (float_of_int (Lb.vmexit_count lb));
-      add_result ~workload:"sysring_http" ~backend:name ~metric:"batch_avg"
-        batch_avg)
-    backends
-
-(* ------------------------------------------------------------------ *)
-(* Zero-copy data plane: rx view ring + sendfile (ENCL_ZEROCOPY)       *)
-
-let zerocopy () =
-  section "Zero-copy data plane: zerocopy_http (ENCL_ZEROCOPY)";
-  let requests = if quick then 200 else 2000 in
-  let run config flag =
-    Zerocopy.with_flag flag (fun () ->
-        Scenarios.zerocopy_http config ~rcfg:(rcfg_of config) ~requests ())
-  in
-  List.iter
-    (fun config ->
-      (* Both halves run under an explicit flag so the committed rows
-         never depend on the ENCL_ZEROCOPY environment. *)
-      let on = run config true in
-      let off = run config false in
-      let name = Scenarios.config_name config in
-      Printf.printf
-        "%-8s zc http  on %8.0f req/s %9dB copied   off %8.0f req/s %9dB \
-         copied   ring %d/%d/%d\n%!"
-        name on.Scenarios.z_req_per_sec on.Scenarios.z_bytes_copied
-        off.Scenarios.z_req_per_sec off.Scenarios.z_bytes_copied
-        on.Scenarios.z_ring_granted on.Scenarios.z_ring_consumed
-        on.Scenarios.z_ring_reclaimed;
-      add_result ~workload:"zerocopy_http" ~backend:name ~metric:"req_per_sec"
-        on.Scenarios.z_req_per_sec;
-      add_result ~workload:"zerocopy_http" ~backend:name ~metric:"bytes_copied"
-        (float_of_int on.Scenarios.z_bytes_copied))
-    configs
+    (fun (e : Experiments.t) ->
+      section ("Experiment " ^ e.name);
+      Printf.printf "(claim: %s)\n" e.doc;
+      List.iter
+        (fun l -> print_endline (Experiments.describe e (run l)))
+        (Experiments.legs e ~quick);
+      List.iter
+        (fun (r : Experiments.row) ->
+          Printf.printf "row %s/%s/%s = %.10g\n%!" r.workload r.backend
+            r.metric r.value;
+          add_result ~workload:r.workload ~backend:r.backend ~metric:r.metric
+            r.value)
+        (e.rows run ~quick))
+    Experiments.registry
 
 (* ------------------------------------------------------------------ *)
 (* Resilience (availability under the chaos harness)                   *)
@@ -764,20 +591,11 @@ module Miner = Encl_litterbox.Miner
 
 let policy_mining () =
   section "Policy mining: witness overhead and mined policy width";
-  let with_witness flag = Cli.with_tracing ~obs:flag ~witness:flag in
+  let mpk ?traced scenario = run (leg ?traced scenario (Some Lb.Mpk)) in
   (* The recorder charges no simulated time, so witnessed req/s must
      match the unwitnessed run; the gate keeps this row near zero. *)
-  let requests = if quick then 200 else 2000 in
-  let run witnessed =
-    let r =
-      with_witness witnessed (fun () ->
-          Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-            ~requests ())
-    in
-    r.Scenarios.h_req_per_sec
-  in
-  let off = run false in
-  let on_ = run true in
+  let off = Experiments.req_per_sec (mpk "http") in
+  let on_ = Experiments.req_per_sec (mpk ~traced:true "http") in
   let pct = (off -. on_) /. off *. 100.0 in
   Printf.printf "%-8s http  witness off %8.0f req/s  on %8.0f req/s  (%.2f%%)\n"
     "LB_MPK" off on_ pct;
@@ -786,106 +604,22 @@ let policy_mining () =
   (* Mined policy width per scenario: total capabilities granted by the
      least-privilege literals the miner recovers from a witnessed run.
      Any widening of a mined policy shows up here as a higher width. *)
-  let mined_width name runner =
-    let rt = with_witness true runner in
-    let lb = Option.get (Runtime.lb rt) in
-    let mined = Miner.mine lb in
-    let total =
-      List.fold_left (fun acc (m : Miner.mined) -> acc + Miner.width m.policy)
-        0 mined
-    in
-    List.iter
-      (fun (m : Miner.mined) ->
-        Printf.printf "%-8s %-5s %-12s width %d  %s\n" "LB_MPK" name
-          m.Miner.enclosure (Miner.width m.Miner.policy) m.Miner.literal)
-      mined;
-    add_result ~workload:("policy_mining_" ^ name) ~backend:"LB_MPK"
-      ~metric:"policy_width" (float_of_int total)
-  in
-  mined_width "http" (fun () ->
-      (Scenarios.http (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk)) ~requests ())
-        .h_rt);
-  mined_width "wiki" (fun () ->
-      (Scenarios.wiki (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-         ~requests:(if quick then 120 else 400) ())
-        .h_rt);
-  mined_width "pq" (fun () ->
-      (Scenarios.pq (Some Lb.Mpk) ~rcfg:(rcfg_of (Some Lb.Mpk))
-         ~queries:(if quick then 80 else 200) ())
-        .p_rt)
-
-(* ------------------------------------------------------------------ *)
-(* SMP: the sharded machine's scaling curve                            *)
-
-let smp () =
-  section "SMP: smp_http across simulated cores (makespan req/s)";
-  let requests = if quick then 512 else 4096 in
-  let conns = if quick then 32 else 64 in
-  let core_counts = [ 1; 2; 4; 8; 16 ] in
-  let runs =
-    List.map
-      (fun cores ->
-        (cores, Scenarios.smp_http (Some Lb.Mpk) ~cores ~requests ~conns ()))
-      core_counts
-  in
-  let base = snd (List.hd runs) in
   List.iter
-    (fun (cores, r) ->
-      let speedup =
-        r.Scenarios.s_req_per_sec /. base.Scenarios.s_req_per_sec
+    (fun name ->
+      let r = mpk ~traced:true name in
+      let mined = Miner.mine (Option.get (Runtime.lb r.Experiments.outcome.rt)) in
+      let total =
+        List.fold_left (fun acc (m : Miner.mined) -> acc + Miner.width m.policy)
+          0 mined
       in
-      let hit_rate =
-        float_of_int r.Scenarios.s_affinity_hits
-        /. float_of_int
-             (max 1 (r.Scenarios.s_affinity_hits + r.Scenarios.s_switches))
-      in
-      Printf.printf
-        "LB_MPK  smp_http %2d cores %9.0f req/s (%5.2fx)  steals %5d  \
-         affinity %.3f  switches %6d\n%!"
-        cores r.Scenarios.s_req_per_sec speedup r.Scenarios.s_steals hit_rate
-        r.Scenarios.s_switches;
-      let workload = Printf.sprintf "smp_http_%dcore" cores in
-      add_result ~workload ~backend:"LB_MPK" ~metric:"req_per_sec"
-        r.Scenarios.s_req_per_sec;
-      add_result ~workload ~backend:"LB_MPK" ~metric:"steal_count"
-        (float_of_int r.Scenarios.s_steals);
-      add_result ~workload ~backend:"LB_MPK" ~metric:"affinity_hit_rate"
-        hit_rate)
-    runs;
-  (* The headline gate row: 4-core speedup per core, higher-better. *)
-  let r4 = List.assoc 4 runs in
-  let efficiency =
-    r4.Scenarios.s_req_per_sec /. base.Scenarios.s_req_per_sec /. 4.0
-  in
-  Printf.printf "LB_MPK  smp_http scaling efficiency at 4 cores: %.3f\n%!"
-    efficiency;
-  add_result ~workload:"smp_http" ~backend:"LB_MPK"
-    ~metric:"scaling_efficiency" efficiency;
-  (* wiki and pq on the sharded machine: the per-connection serving
-     fibers (wiki) and the query-splitting workers (pq) spread by work
-     stealing; cores are pinned per row so the committed baseline never
-     depends on ENCL_CORES. *)
-  let rcfg = rcfg_of (Some Lb.Mpk) in
-  let wiki_requests = if quick then 120 else 400 in
-  let w1 = Scenarios.wiki (Some Lb.Mpk) ~rcfg ~cores:1 ~requests:wiki_requests () in
-  let w4 = Scenarios.wiki (Some Lb.Mpk) ~rcfg ~cores:4 ~requests:wiki_requests () in
-  Printf.printf
-    "LB_MPK  smp_wiki  1 core %8.0f req/s   4 cores %8.0f req/s (%.2fx)\n%!"
-    w1.Scenarios.h_req_per_sec w4.Scenarios.h_req_per_sec
-    (w4.Scenarios.h_req_per_sec /. w1.Scenarios.h_req_per_sec);
-  add_result ~workload:"smp_wiki_4core" ~backend:"LB_MPK" ~metric:"req_per_sec"
-    w4.Scenarios.h_req_per_sec;
-  let queries = if quick then 80 else 200 in
-  let p1 = Scenarios.pq (Some Lb.Mpk) ~rcfg ~cores:1 ~workers:1 ~queries () in
-  let p4 = Scenarios.pq (Some Lb.Mpk) ~rcfg ~cores:4 ~workers:4 ~queries () in
-  Printf.printf
-    "LB_MPK  smp_pq    1 worker %7dns/query   4 workers x 4 cores %7dns/query \
-     (%.2fx)\n%!"
-    p1.Scenarios.p_ns_per_query p4.Scenarios.p_ns_per_query
-    (float_of_int p1.Scenarios.p_ns_per_query
-    /. float_of_int (max 1 p4.Scenarios.p_ns_per_query));
-  add_result ~workload:"smp_pq_4core" ~backend:"LB_MPK" ~metric:"query_ns"
-    (float_of_int p4.Scenarios.p_ns_per_query)
+      List.iter
+        (fun (m : Miner.mined) ->
+          Printf.printf "%-8s %-5s %-12s width %d  %s\n" "LB_MPK" name
+            m.Miner.enclosure (Miner.width m.Miner.policy) m.Miner.literal)
+        mined;
+      add_result ~workload:("policy_mining_" ^ name) ~backend:"LB_MPK"
+        ~metric:"policy_width" (float_of_int total))
+    [ "http"; "wiki"; "pq" ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -897,15 +631,11 @@ let () =
   figure5 ();
   python ();
   security ();
-  extensions ();
   ablations ();
-  fastpath ();
-  sysring ();
-  zerocopy ();
+  experiments ();
   resilience ();
   attacks ();
   policy_mining ();
-  smp ();
   run_bechamel ();
   write_results ();
   print_newline ()

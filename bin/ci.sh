@@ -1,9 +1,11 @@
 #!/bin/sh
 # CI pipeline: build, run the test suite, run the quick benchmark sweep,
-# check that every machine-readable artifact parses back as JSON,
-# profile a workload under the isolation backends, verify the fast
-# paths shrink the switch+seccomp share, check the SFI switch/access
-# crossover, and hold fresh bench numbers to the committed baseline.
+# check that every machine-readable artifact parses back as JSON, hold
+# fresh bench numbers to the committed baseline, and check the claims of
+# the experiment registry (lib/apps/experiments.ml) with `profile NAME`:
+# the seccomp fast path, zero-copy, SFI crossover and SMP scaling claims
+# on every run, the overhead, fast-path and syscall-ring claims in the
+# full pipeline. The bench writes rows only; it judges no claim.
 #
 # Run from the repository root:
 #   sh bin/ci.sh              full pipeline (the CI default)
@@ -90,6 +92,13 @@ stage "bench regression gate"
 # (exit 1 on regression or unbaselined row; regenerate deliberately
 # with `dune exec bin/profile.exe -- gate --write-baseline`).
 dune exec bin/profile.exe -- gate
+
+stage "seccomp fast path (ablation claim)"
+# The seccomp trusted-PKRU fast path must buy req/s: on http under
+# LB_MPK with the fast paths off, charging every filter walk in full
+# must serve strictly fewer req/s, at equal fault and workload-syscall
+# counts. Runs in --quick too.
+dune exec bin/profile.exe -- seccomp
 
 stage "attack corpus (containment + load-bearing defenses)"
 # Every corpus attack must be contained on every backend (attacks.exe
@@ -184,8 +193,8 @@ dune exec bin/profile.exe -- zerocopy --requests 400
 
 stage "sfi (switch/access crossover)"
 # The SFI selection rule must hold, measured: strictly fewer
-# switch-category ns than LB_VTX on the switch-heavy scenario, strictly
-# more access-category ns than LB_MPK on the access-heavy one, with
+# switch-category ns than LB_VTX on the switch-heavy http, strictly
+# more access-category ns than LB_MPK on the access-heavy bild, with
 # identical fault and workload-syscall counts on both legs. Runs in
 # --quick too — it is the end-to-end witness that the SFI backend
 # enforces the same policy at an inverted cost structure.

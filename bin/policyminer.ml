@@ -45,7 +45,7 @@ type outcome = {
 
 let run_scenario ?(witnessed = false) (scenario : Scenarios.entry) backend
     requests =
-  Cli.with_tracing ~obs:witnessed ~witness:witnessed @@ fun () ->
+  Obs.with_tracing ~obs:witnessed ~witness:witnessed @@ fun () ->
   match scenario.run (Some backend) ?requests () with
   | o -> { rt = Some o.Scenarios.rt; failure = None }
   | exception e -> { rt = None; failure = Some (Printexc.to_string e) }
@@ -365,7 +365,7 @@ let drift (scenario : Scenarios.entry) backends requests snapshot write =
 
 let overhead requests =
   let run witnessed =
-    Cli.with_tracing ~obs:witnessed ~witness:witnessed (fun () ->
+    Obs.with_tracing ~obs:witnessed ~witness:witnessed (fun () ->
         (Scenarios.http (Some Lb.Mpk) ?requests ()).Scenarios.h_req_per_sec)
   in
   let off = run false in

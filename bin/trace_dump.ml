@@ -152,7 +152,7 @@ let per_core_conservation ~cores:machine_cores contents =
 
 let run (scenario : Scenarios.entry) backend requests out_dir summary =
   let { Scenarios.rt; summary = result_line; _ } =
-    Cli.with_tracing (fun () -> scenario.run backend ?requests ())
+    Obs.with_tracing (fun () -> scenario.run backend ?requests ())
   in
   let name = scenario.name in
   let obs = (Runtime.machine rt).Machine.obs in
@@ -450,7 +450,7 @@ let enforcement () =
 module Attack = Encl_attack.Attack
 
 let attacks_check () =
-  Cli.with_tracing ~witness:false @@ fun () ->
+  Obs.with_tracing ~witness:false @@ fun () ->
   let escapes = ref [] and contained = ref 0 and runs = ref 0 in
   List.iter
     (fun backend ->
@@ -535,7 +535,7 @@ let witnessed =
 
 let witness_check () =
   let errors = ref [] in
-  Cli.with_tracing (fun () ->
+  Obs.with_tracing (fun () ->
       List.iter
         (fun backend ->
           List.iter

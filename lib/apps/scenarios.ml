@@ -19,6 +19,24 @@ let runtime_config ?rcfg config =
       | None -> Runtime.baseline
       | Some b -> Runtime.with_backend b)
 
+(* [cores], when given, overrides the core count of the configuration
+   [runtime_config] picks. *)
+let pin_cores ?rcfg ?cores config =
+  match cores with
+  | None -> rcfg
+  | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
+
+(* The memory-management family (mmap, pkey_mprotect) is left out:
+   allocator span growth moves with fiber interleaving, and only MPK
+   transfers issue pkey_mprotect. *)
+let workload_syscalls rt =
+  List.fold_left
+    (fun acc (nr, n) ->
+      if Encl_kernel.Sysno.category nr = Encl_kernel.Sysno.Cat_mem then acc
+      else acc + n)
+    0
+    (K.trace (Runtime.machine rt).Machine.kernel)
+
 let boot_exn ?rcfg config ~packages ~entry =
   match Runtime.boot (runtime_config ?rcfg config) ~packages ~entry with
   | Ok rt -> rt
@@ -229,12 +247,7 @@ let wiki_boot ?rcfg config =
    work stealing. Left unset, the config is byte-identical to the old
    single-core boot. *)
 let wiki config ?rcfg ?cores ?(requests = 1000) ?(conns = 4) () =
-  let rcfg =
-    match cores with
-    | None -> rcfg
-    | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
-  in
-  let rt = wiki_boot ?rcfg config in
+  let rt = wiki_boot ?rcfg:(pin_cores ?rcfg ?cores config) config in
   drive rt ~port:8090 ~requests ~conns ~served:Wiki.requests_served
 
 (* ------------------------------------------------------------------ *)
@@ -250,11 +263,7 @@ type pq_result = { p_queries : int; p_ns_per_query : int; p_rt : Runtime.t }
    reference scenario (http mines memory, wiki mines two enclosures,
    pq mines a connect narrowing in isolation). *)
 let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
-  let rcfg =
-    match cores with
-    | None -> rcfg
-    | Some c -> Some { (runtime_config ?rcfg config) with Runtime.cores = c }
-  in
+  let rcfg = pin_cores ?rcfg ?cores config in
   let main =
     Runtime.package "main" ~imports:[ Pq.pkg ]
       ~functions:[ ("main", 512); ("pq_body", 512) ]
@@ -610,12 +619,10 @@ type smp_result = {
    scenario's Amdahl bound). The core count is pinned per call so
    benchmark rows never depend on the environment; the default follows
    [ENCL_CORES] for the CLI drivers. *)
-let smp_http config ?cores ?(requests = 4096) ?(conns = 64)
+let smp_http config ?rcfg ?cores ?(requests = 4096) ?(conns = 64)
     ?(render_ns = 30_000) () =
-  let cores =
-    match cores with Some c -> c | None -> Runtime.default_cores ()
-  in
-  let rcfg = { (runtime_config config) with Runtime.cores } in
+  let rcfg = runtime_config ?rcfg:(pin_cores ?rcfg ?cores config) config in
+  let cores = rcfg.Runtime.cores in
   let main =
     Runtime.package "main"
       ~imports:[ Httpd.pkg; "assets" ]
@@ -672,14 +679,6 @@ let smp_http config ?cores ?(requests = 4096) ?(conns = 64)
          (rounds * conns));
   let wall = Clock.wall clock - t0 in
   let sched = Runtime.sched rt in
-  let non_mem =
-    List.fold_left
-      (fun acc (nr, n) ->
-        if Encl_kernel.Sysno.category nr = Encl_kernel.Sysno.Cat_mem then acc
-        else acc + n)
-      0
-      (K.trace m.Machine.kernel)
-  in
   {
     s_cores = cores;
     s_requests = handled;
@@ -691,15 +690,30 @@ let smp_http config ?cores ?(requests = 4096) ?(conns = 64)
     s_switches = Sched.switch_count sched;
     s_faults =
       (match Runtime.lb rt with Some lb -> Lb.fault_count lb | None -> 0);
-    s_syscalls = non_mem;
+    s_syscalls = workload_syscalls rt;
     s_rt = rt;
   }
 
 (* ------------------------------------------------------------------ *)
 (* The registry: every named scenario, once, for every tool            *)
 
-type outcome = { rt : Runtime.t; summary : string; req_per_sec : float option }
-type entry = { name : string; run : config -> ?requests:int -> unit -> outcome }
+type outcome = {
+  rt : Runtime.t;
+  summary : string;
+  req_per_sec : float option;
+  ns_per_op : int option;
+}
+
+type entry = {
+  name : string;
+  run :
+    config ->
+    ?rcfg:Runtime.config ->
+    ?requests:int ->
+    ?conns:int ->
+    unit ->
+    outcome;
+}
 
 let http_outcome r =
   {
@@ -708,6 +722,7 @@ let http_outcome r =
       Printf.sprintf "%d requests, %.0f req/s, %.2f syscalls/req" r.h_requests
         r.h_req_per_sec r.h_syscalls_per_req;
     req_per_sec = Some r.h_req_per_sec;
+    ns_per_op = None;
   }
 
 let registry =
@@ -716,60 +731,69 @@ let registry =
       name = "bild";
       (* [requests] does not apply: bild is iteration-driven. *)
       run =
-        (fun config ?requests:_ () ->
-          let r = bild config () in
+        (fun config ?rcfg ?requests:_ ?conns:_ () ->
+          let r = bild config ?rcfg () in
           {
             rt = r.b_rt;
             summary =
               Printf.sprintf "%d ns/invert, %d transfers/invert"
                 r.b_ns_per_invert r.b_transfers;
             req_per_sec = None;
+            ns_per_op = Some r.b_ns_per_invert;
           });
     };
     {
       name = "http";
-      run = (fun config ?requests () -> http_outcome (http config ?requests ()));
+      run =
+        (fun config ?rcfg ?requests ?conns () ->
+          http_outcome (http config ?rcfg ?requests ?conns ()));
     };
     {
       name = "fasthttp";
       run =
-        (fun config ?requests () -> http_outcome (fasthttp config ?requests ()));
+        (fun config ?rcfg ?requests ?conns () ->
+          http_outcome (fasthttp config ?rcfg ?requests ?conns ()));
     };
     {
       name = "wiki";
-      run = (fun config ?requests () -> http_outcome (wiki config ?requests ()));
+      run =
+        (fun config ?rcfg ?requests ?conns () ->
+          http_outcome (wiki config ?rcfg ?requests ?conns ()));
     };
     {
       name = "pq";
+      (* Each worker owns one connection, so [conns] sets the workers. *)
       run =
-        (fun config ?requests () ->
-          let r = pq config ?queries:requests () in
+        (fun config ?rcfg ?requests ?conns () ->
+          let r = pq config ?rcfg ?workers:conns ?queries:requests () in
           {
             rt = r.p_rt;
             summary =
               Printf.sprintf "%d queries, %d ns/query" r.p_queries
                 r.p_ns_per_query;
             req_per_sec = None;
+            ns_per_op = Some r.p_ns_per_query;
           });
     };
     {
       name = "smp_http";
       run =
-        (fun config ?requests () ->
-          let r = smp_http config ?requests () in
+        (fun config ?rcfg ?requests ?conns () ->
+          let r = smp_http config ?rcfg ?requests ?conns () in
           {
             rt = r.s_rt;
             summary =
               Printf.sprintf "%d requests on %d cores, %.0f req/s, %d steals"
                 r.s_requests r.s_cores r.s_req_per_sec r.s_steals;
             req_per_sec = Some r.s_req_per_sec;
+            ns_per_op = None;
           });
     };
     {
       name = "zerocopy_http";
       run =
-        (fun config ?requests () ->
-          let r = zerocopy_http config ?requests () in
+        (fun config ?rcfg ?requests ?conns () ->
+          let r = zerocopy_http config ?rcfg ?requests ?conns () in
           {
             rt = r.z_rt;
             summary =
@@ -778,6 +802,7 @@ let registry =
                 r.z_requests r.z_req_per_sec r.z_bytes_copied r.z_ring_granted
                 r.z_ring_consumed r.z_ring_reclaimed;
             req_per_sec = Some r.z_req_per_sec;
+            ns_per_op = None;
           });
     };
   ]

@@ -13,6 +13,12 @@ type config = Encl_litterbox.Litterbox.backend option
 
 val config_name : config -> string
 
+val workload_syscalls : Encl_golike.Runtime.t -> int
+(** System calls the runtime's kernel executed, outside the
+    memory-management family (mmap, pkey_mprotect): allocator growth
+    moves with fiber interleaving, and only LB_MPK transfers issue
+    pkey_mprotect. The count enforcement comparisons hold equal. *)
+
 val runtime_config :
   ?rcfg:Encl_golike.Runtime.config -> config -> Encl_golike.Runtime.config
 (** The runtime configuration a scenario boots: [rcfg] when given, else
@@ -81,14 +87,15 @@ type smp_result = {
 }
 
 val smp_http :
-  config -> ?cores:int -> ?requests:int -> ?conns:int -> ?render_ns:int ->
-  unit -> smp_result
+  config -> ?rcfg:Encl_golike.Runtime.config -> ?cores:int -> ?requests:int ->
+  ?conns:int -> ?render_ns:int -> unit -> smp_result
 (** The http scenario with a per-request template-render cost, request
     rate measured against the makespan (max core lane) instead of total
     CPU time. Connection fibers spread across the simulated cores by
     work stealing; the client driver stays serial on core 0 (the
-    scenario's Amdahl bound). [cores] defaults to [ENCL_CORES] — the
-    benchmark harness pins it per row. *)
+    scenario's Amdahl bound). [cores] overrides the core count of
+    [rcfg], which defaults to [ENCL_CORES] — the benchmark harness pins
+    it per row. *)
 
 val wiki_check : config -> (string, string) result
 (** Functional check: create a page over POST, read it back over GET;
@@ -185,14 +192,26 @@ type outcome = {
   req_per_sec : float option;
       (** the scenario's request rate; [None] for bild and pq, which
           measure per-operation time instead *)
+  ns_per_op : int option;
+      (** simulated ns per invert (bild) or per query (pq); [None] for
+          the servers *)
 }
 
 type entry = {
   name : string;
-  run : config -> ?requests:int -> unit -> outcome;
-      (** Run with default sizing. [requests] sets the request count of
-          the server scenarios and the query count of [pq]; [bild] is
-          iteration-driven and ignores it. *)
+  run :
+    config ->
+    ?rcfg:Encl_golike.Runtime.config ->
+    ?requests:int ->
+    ?conns:int ->
+    unit ->
+    outcome;
+      (** Run with default sizing. [rcfg] overrides the runtime
+          configuration as for the typed functions. [requests] sets the
+          request count of the server scenarios and the query count of
+          [pq]; [conns] sets their client connections and [pq]'s
+          workers (each worker owns one connection). [bild] is
+          iteration-driven and ignores both. *)
 }
 
 val registry : entry list

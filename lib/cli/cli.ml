@@ -1,8 +1,6 @@
 open Cmdliner
 module Backend = Encl_litterbox.Backend
 module Scenarios = Encl_apps.Scenarios
-module Obs = Encl_obs.Obs
-module Witness = Encl_obs.Witness
 
 let config_conv =
   let parse s =
@@ -110,14 +108,3 @@ let ensure_dir ~tool dir =
     end
   in
   try mkdir_p dir with Sys_error e -> cannot_write ~tool e
-
-let with_tracing ?(obs = true) ?(witness = true) f =
-  let saved_obs = !Obs.default_enabled in
-  let saved_witness = !Witness.default_enabled in
-  Obs.default_enabled := obs;
-  Witness.default_enabled := witness;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.default_enabled := saved_obs;
-      Witness.default_enabled := saved_witness)
-    f

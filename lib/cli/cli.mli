@@ -1,9 +1,8 @@
 (** The command-line layer shared by every tool (profile, trace_dump,
     chaos, policyminer, attacks, enclosure_report, minigo_run) and the
     benchmark harness: one [--backend] spelling, one backend-list
-    spelling, one [--requests], one scenario positional, one way to
-    report an unwritable output path, and one way to switch tracing on
-    for a run. *)
+    spelling, one [--requests], one scenario positional, and one way to
+    report an unwritable output path. *)
 
 (** {2 Backends} *)
 
@@ -53,11 +52,3 @@ val out_dir : default:string -> doc:string -> string Cmdliner.Term.t
 val ensure_dir : tool:string -> string -> unit
 (** Create a directory and its missing parents; failure (a regular file
     in the way, an unwritable parent) ends the run as in {!write_file}. *)
-
-(** {2 Tracing} *)
-
-val with_tracing : ?obs:bool -> ?witness:bool -> (unit -> 'a) -> 'a
-(** Run [f] with {!Encl_obs.Obs.default_enabled} set to [obs] and
-    {!Encl_obs.Witness.default_enabled} to [witness] (both default
-    [true]), restoring both afterwards — also when [f] raises. Machines
-    booted inside [f] keep the setting they were created with. *)

@@ -14,6 +14,17 @@ type t = {
 let default_capacity = 65_536
 let default_enabled = ref false
 
+let with_tracing ?(obs = true) ?(witness = true) f =
+  let saved_obs = !default_enabled in
+  let saved_witness = !Witness.default_enabled in
+  default_enabled := obs;
+  Witness.default_enabled := witness;
+  Fun.protect
+    ~finally:(fun () ->
+      default_enabled := saved_obs;
+      Witness.default_enabled := saved_witness)
+    f
+
 let create ?(capacity = default_capacity) ?enabled ~now () =
   let metrics = Metrics.create () in
   let trusted = Metrics.scope metrics "trusted" in

@@ -23,6 +23,12 @@ val default_enabled : bool ref
     trace (e.g. [bin/trace_dump.exe]) set this before booting a
     runtime; the library default is [false]. *)
 
+val with_tracing : ?obs:bool -> ?witness:bool -> (unit -> 'a) -> 'a
+(** Run [f] with {!default_enabled} set to [obs] and
+    {!Witness.default_enabled} to [witness] (both default [true]),
+    restoring both afterwards — also when [f] raises. Machines booted
+    inside [f] keep the setting they were created with. *)
+
 val create : ?capacity:int -> ?enabled:bool -> now:(unit -> int) -> unit -> t
 (** [enabled] defaults to [!default_enabled]. *)
 

@@ -7,16 +7,4 @@
    "off" disable), mutable so tests and tools can run the same workload
    under both settings in one process. *)
 
-let flag =
-  ref
-    (match Sys.getenv_opt "ENCL_ZEROCOPY" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
-let enabled () = !flag
-let set b = flag := b
-
-let with_flag b f =
-  let saved = !flag in
-  flag := b;
-  Fun.protect ~finally:(fun () -> flag := saved) f
+include Flag.Make (struct let var = "ENCL_ZEROCOPY" end)

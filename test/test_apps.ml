@@ -614,7 +614,7 @@ let registry_tests =
             List.iter
               (fun config ->
                 let run ~obs =
-                  Cli.with_tracing ~obs ~witness:obs (fun () ->
+                  Encl_obs.Obs.with_tracing ~obs ~witness:obs (fun () ->
                       accessor_values (e.run config ~requests ()))
                 in
                 Alcotest.(check (list int))

@@ -117,7 +117,7 @@ type outcome = {
 (* Execute the op sequence on a fresh runtime, with tracing on so the
    traced-only paths (spans, fault and quarantine events) run too. *)
 let run_ops backend ops =
-  Encl_cli.Cli.with_tracing ~witness:false @@ fun () ->
+  Encl_obs.Obs.with_tracing ~witness:false @@ fun () ->
   let rt = boot backend in
   let lb = Option.get (Runtime.lb rt) in
   Lb.set_fault_budget lb 3;

@@ -29,7 +29,7 @@ let run_obs name backend ?requests () =
   match Scenarios.find name with
   | Error e -> failwith e
   | Ok e ->
-      Encl_cli.Cli.with_tracing ~witness:false (fun () ->
+      Encl_obs.Obs.with_tracing ~witness:false (fun () ->
           Runtime.machine (e.run backend ?requests ()).rt)
 
 (* ------------------------------------------------------------------ *)

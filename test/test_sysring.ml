@@ -156,7 +156,7 @@ type outcome = {
    all. Tracing is on so the traced-only paths (ring_drain spans, fault
    events) run too. *)
 let run_ops backend ops =
-  Encl_cli.Cli.with_tracing ~witness:false @@ fun () ->
+  Encl_obs.Obs.with_tracing ~witness:false @@ fun () ->
   let rt = boot backend in
   let lb = Option.get (Runtime.lb rt) in
   Lb.set_fault_budget lb 3;

@@ -223,7 +223,7 @@ type outcome = {
    copy ledger, which the machine keeps as a record field as well as a
    counter. Tracing is on so the traced-only paths run too. *)
 let run_ops backend ops =
-  Encl_cli.Cli.with_tracing ~witness:false @@ fun () ->
+  Encl_obs.Obs.with_tracing ~witness:false @@ fun () ->
   let env = setup backend in
   let lb = Option.get (Runtime.lb env.rt) in
   Lb.set_fault_budget lb 3;
