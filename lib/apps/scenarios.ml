@@ -128,7 +128,8 @@ let assets_package () =
     ()
 
 (* Drive [requests] requests over [conns] persistent connections and
-   measure the steady state. *)
+   measure the steady state against the makespan (the slowest core's
+   lane), which on one core is the machine-wide clock. *)
 let drive rt ~port ~requests ~conns ~served =
   let m = Runtime.machine rt in
   let kernel = m.Machine.kernel in
@@ -141,7 +142,7 @@ let drive rt ~port ~requests ~conns ~served =
   Runtime.kick rt;
   List.iter (fun ep -> ignore (Httpd.client_read_response rt ep)) eps;
   let clock = Runtime.clock rt in
-  let t0 = Clock.now clock in
+  let t0 = Clock.wall clock in
   let sys0 = K.syscall_count kernel in
   let served0 = served () in
   let rounds = requests / conns in
@@ -158,7 +159,7 @@ let drive rt ~port ~requests ~conns ~served =
   if handled < rounds * conns then
     failwith
       (Printf.sprintf "server fell behind: %d/%d requests" handled (rounds * conns));
-  let elapsed = Clock.now clock - t0 in
+  let elapsed = Clock.wall clock - t0 in
   let syscalls = K.syscall_count kernel - sys0 in
   {
     h_requests = handled;
@@ -287,7 +288,7 @@ let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   Pq.reset_counters ();
   let completed = ref 0 in
   let clock = Runtime.clock rt in
-  let t0 = Clock.now clock in
+  let t0 = Clock.wall clock in
   let sql = "SELECT body FROM pages WHERE title = 'home'" in
   (if workers <= 1 then
      Runtime.run_main rt (fun () ->
@@ -329,7 +330,7 @@ let pq config ?rcfg ?cores ?(workers = 1) ?(queries = 200) () =
   Runtime.kick rt;
   if !completed < queries then
     failwith (Printf.sprintf "pq: %d/%d queries completed" !completed queries);
-  let elapsed = Clock.now clock - t0 in
+  let elapsed = Clock.wall clock - t0 in
   { p_queries = !completed; p_ns_per_query = elapsed / max 1 queries; p_rt = rt }
 
 (* ------------------------------------------------------------------ *)
@@ -653,38 +654,14 @@ let smp_http config ?rcfg ?cores ?(requests = 4096) ?(conns = 64)
         page)
   in
   Runtime.run_main rt (fun () -> Httpd.serve rt ~port:8088 ~handler);
-  Runtime.kick rt;
-  let eps = List.init conns (fun _ -> Httpd.client_connect rt ~port:8088) in
-  Runtime.kick rt;
-  (* Warm-up round. *)
-  List.iter (fun ep -> Httpd.client_get rt ep ~path:"/page/home") eps;
-  Runtime.kick rt;
-  List.iter (fun ep -> ignore (Httpd.client_read_response rt ep)) eps;
-  let t0 = Clock.wall clock in
-  let served0 = Httpd.requests_served () in
-  let rounds = requests / conns in
-  for _ = 1 to rounds do
-    List.iter (fun ep -> Httpd.client_get rt ep ~path:"/page/home") eps;
-    Runtime.kick rt;
-    List.iter
-      (fun ep ->
-        let resp = Httpd.client_read_response rt ep in
-        if Bytes.length resp = 0 then failwith "empty response")
-      eps
-  done;
-  let handled = Httpd.requests_served () - served0 in
-  if handled < rounds * conns then
-    failwith
-      (Printf.sprintf "server fell behind: %d/%d requests" handled
-         (rounds * conns));
-  let wall = Clock.wall clock - t0 in
+  let r = drive rt ~port:8088 ~requests ~conns ~served:Httpd.requests_served in
   let sched = Runtime.sched rt in
   {
     s_cores = cores;
-    s_requests = handled;
-    s_wall_ns = wall;
+    s_requests = r.h_requests;
+    s_wall_ns = r.h_ns;
     s_cpu_ns = Clock.now clock;
-    s_req_per_sec = float_of_int handled /. (float_of_int wall /. 1e9);
+    s_req_per_sec = r.h_req_per_sec;
     s_steals = Sched.steal_count sched;
     s_affinity_hits = Sched.affinity_hit_count sched;
     s_switches = Sched.switch_count sched;

@@ -45,7 +45,9 @@ val bild :
 
 type http_result = {
   h_requests : int;
-  h_ns : int;  (** simulated ns for the measured requests *)
+  h_ns : int;
+      (** makespan of the measured requests: the slowest core's simulated
+          ns, which on one core is the whole machine's *)
   h_req_per_sec : float;
   h_syscalls_per_req : float;
   h_rt : Encl_golike.Runtime.t;
@@ -103,7 +105,9 @@ val wiki_check : config -> (string, string) result
 
 type pq_result = {
   p_queries : int;  (** queries completed *)
-  p_ns_per_query : int;  (** simulated ns per query (connect amortized) *)
+  p_ns_per_query : int;
+      (** makespan ns per query (connect amortized): the slowest core's
+          simulated ns over the query loop, divided by the queries *)
   p_rt : Encl_golike.Runtime.t;
 }
 

@@ -296,6 +296,31 @@ let affinity_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Makespan request rates *)
+
+let makespan_tests =
+  [
+    Alcotest.test_case "wiki req/s scales with the core count" `Quick
+      (fun () ->
+        (* Request rates are measured against the makespan, the slowest
+           core's lane. On one core that is the machine-wide clock, so
+           the 1-core rate is the one the scenario has always reported;
+           at 4 cores the serving fibers spread by work stealing. *)
+        let run cores =
+          Scenarios.wiki (Some Lb.Mpk) ~cores ~requests:120 ()
+        in
+        let one = run 1 and four = run 4 in
+        Alcotest.(check (float 0.)) "1-core req/s unchanged"
+          28962.672907157255 one.Scenarios.h_req_per_sec;
+        let speedup =
+          four.Scenarios.h_req_per_sec /. one.Scenarios.h_req_per_sec
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "4-core speedup %.2fx >= 1.5x" speedup)
+          true (speedup >= 1.5));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Per-core attribution *)
 
 let attribution_tests =
@@ -362,6 +387,7 @@ let () =
       ("differential", differential_tests);
       ("work-stealing", stealing_tests);
       ("core-affinity", affinity_tests);
+      ("makespan", makespan_tests);
       ("attribution", attribution_tests);
       ("chaos", chaos_tests);
     ]
