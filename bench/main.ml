@@ -35,10 +35,11 @@ let rcfg_of config =
   | None -> { Runtime.baseline with Runtime.cores = 1 }
   | Some b -> { (Runtime.with_backend b) with Runtime.cores = 1 }
 
-(* Every scenario run that more than one section reads (the default-flags
-   http leg feeds Table 2, the fast-path and ring rows and policy mining)
-   goes through one memoizing runner, so it runs once. *)
-let run = Experiments.runner ()
+(* Scenario runs go through one memoizing runner, [run], which the
+   sections that share legs take as an argument: the default-flags http
+   leg feeds Table 2, the fast-path and ring rows and policy mining, and
+   runs once. The runner keeps every run's machine alive, so it is
+   dropped before the Bechamel section measures host time. *)
 let leg = Experiments.leg ~quick
 
 let section title =
@@ -212,7 +213,7 @@ let table1 () =
 
 (* A server row of Table 2 or Figure 5: req/s per config, and each
    backend's slowdown against the Baseline. *)
-let server_row label scenario ?(papers = []) note =
+let server_row run label scenario ?(papers = []) note =
   let rps =
     List.map (fun c -> Experiments.req_per_sec (run (leg scenario c))) configs
   in
@@ -223,7 +224,7 @@ let server_row label scenario ?(papers = []) note =
   List.iter (fun v -> Printf.printf " %7.0freq/s (%.2fx)" v (base /. v)) (List.tl rps);
   Printf.printf " %s\n%!" note
 
-let table2 () =
+let table2 run =
   section "Table 2: Macrobenchmarks";
   let bild_iters = if quick then 1 else 3 in
   let dim = if quick then 256 else 1024 in
@@ -247,10 +248,10 @@ let table2 () =
       List.iter (fun v -> Printf.printf " %8.2fms (%.2fx)" v (v /. b)) rest;
       Printf.printf "   [paper: 13.25 / 1.12x / 1.05x]\n%!"
   | [] -> assert false);
-  server_row "HTTP" "http"
+  server_row run "HTTP" "http"
     ~papers:[ 16991.; 16991. /. 1.02; 16991. /. 1.77 ]
     "[paper: 16991 / 1.02x / 1.77x]";
-  server_row "FastHTTP" "fasthttp"
+  server_row run "FastHTTP" "fasthttp"
     ~papers:[ 22867.; 22867. /. 1.04; 22867. /. 2.01 ]
     "[paper: 22867 / 1.04x / 2.01x]";
   (* The TCB-information columns of Table 2. *)
@@ -267,9 +268,9 @@ let table2 () =
 (* ------------------------------------------------------------------ *)
 (* Figure 5: the wiki application                                      *)
 
-let figure5 () =
+let figure5 run =
   section "Figure 5: wiki-like web application (mux + pq + Postgres)";
-  server_row "wiki" "wiki"
+  server_row run "wiki" "wiki"
     "(paper: the throughput slowdown is similar to FastHTTP's)";
   match Scenarios.wiki_check (Some Lb.Vtx) with
   | Ok body ->
@@ -509,7 +510,7 @@ let run_bechamel () =
 
 (* Each experiment's legs and rows; whether its claim holds is judged by
    `profile NAME`, not here. *)
-let experiments () =
+let experiments run =
   List.iter
     (fun (e : Experiments.t) ->
       section ("Experiment " ^ e.name);
@@ -589,7 +590,7 @@ let attacks () =
 
 module Miner = Encl_litterbox.Miner
 
-let policy_mining () =
+let policy_mining run =
   section "Policy mining: witness overhead and mined policy width";
   let mpk ?traced scenario = run (leg ?traced scenario (Some Lb.Mpk)) in
   (* The recorder charges no simulated time, so witnessed req/s must
@@ -627,15 +628,16 @@ let () =
   Printf.printf "Enclosure/LitterBox reproduction benchmarks%s\n"
     (if quick then " (quick mode)" else "");
   table1 ();
-  table2 ();
-  figure5 ();
-  python ();
-  security ();
-  ablations ();
-  experiments ();
-  resilience ();
-  attacks ();
-  policy_mining ();
+  (let run = Experiments.runner () in
+   table2 run;
+   figure5 run;
+   python ();
+   security ();
+   ablations ();
+   experiments run;
+   resilience ();
+   attacks ();
+   policy_mining run);
   run_bechamel ();
   write_results ();
   print_newline ()

@@ -23,7 +23,6 @@ module Runtime = Encl_golike.Runtime
 module Machine = Encl_litterbox.Machine
 module Lb = Encl_litterbox.Litterbox
 module K = Encl_kernel.Kernel
-module Sysno = Encl_kernel.Sysno
 module Scenarios = Encl_apps.Scenarios
 module Experiments = Encl_apps.Experiments
 module Obs = Encl_obs.Obs
@@ -111,8 +110,8 @@ let run name backend requests out_dir top =
 
 (* Run an experiment's legs at full size, traced (the overhead and
    fastpath judges read the attribution ledger), with [requests]
-   overriding every leg's request count; print one line per leg and
-   exit 1 on the first judged problem. *)
+   overriding every leg's request count; print one line per leg, then
+   every problem the judges find, and exit 1 if there is one. *)
 let experiment (e : Experiments.t) requests out =
   let run = Experiments.runner () in
   let run (leg : Experiments.leg) =

@@ -25,8 +25,10 @@ type leg = {
   slow_seccomp : bool;
       (** charge every seccomp filter walk at [seccomp_eval], i.e. turn
           the trusted-PKRU fast path's cost saving off *)
-  requests : int option;  (** requests (queries for pq); [None] for bild *)
-  conns : int option;  (** client connections (pq: workers) *)
+  requests : int option;
+      (** requests (queries for pq); [None] is the scenario's default *)
+  conns : int option;
+      (** client connections (pq: workers); [None] is the default *)
   traced : bool;  (** observability sink and witness recorder on *)
 }
 
@@ -34,9 +36,10 @@ val leg :
   ?cores:int -> ?fastpath:bool -> ?sysring:bool -> ?zerocopy:bool ->
   ?slow_seccomp:bool -> ?conns:int -> ?traced:bool -> quick:bool -> string ->
   Scenarios.config -> leg
-(** [leg ~quick scenario config]: one core, the process's flags, the
-    scenario's size — quick (CI) or full. Every section that runs a
-    scenario sizes it here, so equal legs are equal runs. *)
+(** [leg ~quick scenario config]: one core, the process's flags, and
+    the scenario's CI size when [quick], else its default size. Every
+    section that runs a scenario sizes it here, so equal legs are equal
+    runs. *)
 
 type result = { leg : leg; outcome : Scenarios.outcome }
 
